@@ -65,9 +65,11 @@ class SepAutomaton:
 def bounds_for_game(game: ParityGame, e: int | None = None) -> Bounds | None:
     """Witness bounds for a game with colours in a 1- or 2-based range.
 
-    ``e`` defaults to the number of even-coloured vertices.  Returns None
-    when the effective budget is 0 (no even colours at all): no witness
-    machinery is needed, Odd wins everywhere.
+    ``e`` defaults to the number of even-coloured vertices.  A smaller
+    budget raises ValueError: the automaton would no longer separate, and
+    the solvers would answer wrong.  Returns None when the effective
+    budget is 0 (no even colours at all): no witness machinery is needed,
+    Odd wins everywhere.
     """
     cmin = min(game.colours)
     cmax = max(game.colours)
@@ -75,6 +77,11 @@ def bounds_for_game(game: ParityGame, e: int | None = None) -> Bounds | None:
         raise ValueError("game has colour 0; normalize colours first")
     if e is None:
         e = game.even_vertex_count
+    elif e < game.even_vertex_count:
+        raise ValueError(
+            f"budget e={e} is below the game's {game.even_vertex_count} "
+            "even-coloured vertices; the answer would be unsound"
+        )
     if e == 0:
         return None
     min_colour = 1 if cmin == 1 else 2

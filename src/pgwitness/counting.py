@@ -179,6 +179,48 @@ def count_concise_by_value(ec: int, v: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _count_classic_tail(c: int, l: int) -> int:
+    """Monotone length-``l`` tuples over ``2..c`` plus Blank whose
+    rightmost entry is even-or-blank; no value cap (the positions below
+    an odd entry carry no value)."""
+    if l == 0:
+        return 1
+    return _count_classic_tail(c, l - 1) + sum(
+        _count_classic_tail(x, l - 1) for x in range(2, c + 1) if l > 1 or x % 2 == 0
+    )
+
+
+@lru_cache(maxsize=None)
+def _count_classic(c: int, l: int, v: int) -> int:
+    """``count_classic_by_value`` on ``l`` positions with colours up to
+    ``c``, before any odd entry."""
+    if l == 0:
+        return 1
+    weight = 1 << (l - 1)
+    total = _count_classic(c, l - 1, v)  # Blank at the top position
+    if weight <= v:
+        for x in range(2, c + 1):
+            if x % 2 == 0:
+                total += _count_classic(x, l - 1, v - weight)
+            elif l > 1:
+                total += _count_classic_tail(x, l - 1)
+    return total
+
+
+def count_classic_by_value(ec: int, v: int) -> int:
+    """Classic value-capped tuples with value at most ``v``: monotone over
+    ``2..ec``, odd colours may repeat, the rightmost entry even-or-blank.
+
+    The tuple has ``floor(log2 v) + 1`` entries.  Its value sums
+    ``2^position`` over the entries down to and including the most
+    significant odd one; the entries below that odd one weigh nothing.
+    """
+    _check(ec >= 0 and ec % 2 == 0, "need an even colour count >= 0")
+    _check(v >= 0, "need v >= 0")
+    return _count_classic(ec, v.bit_length(), v)
+
+
+@lru_cache(maxsize=None)
 def count_evenweight_by_length_value(c: int, l: int, v: int) -> int:
     """Value-capped tuples where only even entries weigh (``2^position``
     each), odd colours may repeat, colour 1 is unused and the rightmost

@@ -27,8 +27,8 @@ from typing import Iterable, Sequence
 from .automata import SepAutomaton, UpdateKind, bounds_for_game
 from .errors import ResourceCapError
 from .games import EVEN, ODD, ParityGame, generate_random, normalize_colours
-from .updates import UpdateVariant, antagonistic_update
-from .witnesses import WON, State, state_key
+from .updates import UpdateVariant, rank_table
+from .witnesses import WON, State
 
 
 @dataclass(frozen=True)
@@ -134,58 +134,74 @@ def solve_product(
                 f"game colour {c} outside automaton colour range "
                 f"{b.min_colour}..{b.max_colour}"
             )
-    index: dict[tuple[int, State], int] = {}
-    owners: list[int] = []
+    # Automaton states are interned as small ids on first sight, and each
+    # step is computed once per (state id, colour).
+    state_id: dict[State, int] = {}
+    states: list[State] = []
+    moves: list[list[int]] = []  # moves[q][d]: id after reading d, -1 until known
+
+    def intern(s: State) -> int:
+        q = state_id.get(s)
+        if q is None:
+            q = state_id[s] = len(states)
+            states.append(s)
+            moves.append([-1] * (b.max_colour + 1))
+        return q
+
+    # A product position is numbered in order of discovery and keyed by
+    # q * n + v for vertex v and state id q.  Positions 0..n-1 are the
+    # start positions (v, initial).  Positions are expanded in discovery
+    # order (breadth first); WON positions are not expanded.
+    n = game.n
+    won = intern(WON)
+    initial = intern(automaton.initial)
+    vertex_of = list(game.vertices())
+    state_of = [initial] * n
+    index = {initial * n + v: v for v in game.vertices()}
+    n_prod = n
+    game_succ = [tuple(dict.fromkeys(ws)) for ws in game.succ]  # duplicate edges count once
     succ: list[list[int]] = []
-    target: list[int] = []
-    worklist: deque[tuple[int, State]] = deque()
-
-    def node(v: int, q: State) -> int:
-        key = (v, q)
-        pid = index.get(key)
-        if pid is None:
-            pid = len(owners)
-            if pid >= cap:
-                raise ResourceCapError(
-                    f"product exceeds cap of {cap} positions (bounds {b})"
-                )
-            index[key] = pid
-            owners.append(game.owners[v])
-            succ.append([])
-            if q is WON:
-                target.append(pid)
-            else:
-                worklist.append(key)
-        return pid
-
-    starts = [node(v, automaton.initial) for v in game.vertices()]
-    while worklist:
-        v, q = worklist.popleft()
-        pid = index[(v, q)]
-        q2 = automaton.step(q, game.colours[v])
-        for w in game.succ[v]:
-            succ[pid].append(node(w, q2))
+    for v, q in zip(vertex_of, state_of):  # the lists grow while this runs
+        out: list[int] = []
+        succ.append(out)
+        if q == won:
+            continue
+        d = game.colours[v]
+        q2 = moves[q][d]
+        if q2 < 0:
+            q2 = moves[q][d] = intern(automaton.step(states[q], d))
+        base = q2 * n
+        for w in game_succ[v]:
+            pid = index.get(base + w)
+            if pid is None:
+                pid = n_prod
+                if pid >= cap:
+                    raise ResourceCapError(
+                        f"product exceeds cap of {cap} positions (bounds {b})"
+                    )
+                index[base + w] = pid
+                n_prod += 1
+                vertex_of.append(w)
+                state_of.append(q2)
+            out.append(pid)
 
     # Backward induction over the explored product (successor-closed):
     # WON positions are winning; Even positions win with one winning
     # successor, Odd positions once all successors are winning.
-    n_prod = len(owners)
     preds: list[list[int]] = [[] for _ in range(n_prod)]
-    degree = [0] * n_prod
-    for p in range(n_prod):
-        for s in set(succ[p]):
-            preds[s].append(p)
-            degree[p] += 1
-    winning = [False] * n_prod
-    queue = deque(target)
-    for t in target:
-        winning[t] = True
+    for p, out in enumerate(succ):
+        for t in out:
+            preds[t].append(p)
+    degree = [len(out) for out in succ]
+    winning = [q == won for q in state_of]
+    queue = deque(p for p in range(n_prod) if winning[p])
+    even_owned = [o == EVEN for o in game.owners]
     while queue:
-        s = queue.popleft()
-        for p in preds[s]:
+        t = queue.popleft()
+        for p in preds[t]:
             if winning[p]:
                 continue
-            if owners[p] == EVEN:
+            if even_owned[vertex_of[p]]:
                 winning[p] = True
                 queue.append(p)
             else:
@@ -193,7 +209,7 @@ def solve_product(
                 if degree[p] == 0:
                     winning[p] = True
                     queue.append(p)
-    even = frozenset(v for v in game.vertices() if winning[starts[v]])
+    even = frozenset(v for v in game.vertices() if winning[v])
     if stats is not None:
         stats["product_positions"] = n_prod
     return WinningSets(even=even, odd=frozenset(game.vertices()) - even)
@@ -213,6 +229,11 @@ def solve_lifting(
     its outgoing edges (max for Even, min for Odd, feeding the source
     colour).  Values only ever increase, so the FIFO worklist reaches the
     least fixpoint; Even wins exactly the vertices that stabilise at WON.
+
+    Values are statespace ranks (WON is the rank past the last state), so
+    the witness order is integer order and an update is a table lookup.
+    Raises ResourceCapError before any work when the statespace is above
+    the antagonistic table cap.
     """
     cmin = min(game.colours)
     if cmin < 1:
@@ -222,27 +243,40 @@ def solve_lifting(
         if stats is not None:
             stats["lifts"] = 0
         return WinningSets(even=frozenset(), odd=frozenset(game.vertices()))
-    mu: list[State] = [bounds.blank_witness()] * game.n
+    space, rank, columns = rank_table(bounds, variant)
+    won = len(space)
+    column = [columns[c] for c in game.colours]
+    succ = game.succ
+    preds = game.predecessors
+    even_owned = [o == EVEN for o in game.owners]
+    mu = [rank[bounds.blank_witness()]] * game.n
     in_queue = [True] * game.n
     queue: deque[int] = deque(game.vertices())
     lifts = 0
     while queue:
         v = queue.popleft()
         in_queue[v] = False
-        outcomes = [
-            antagonistic_update(mu[w], game.colours[v], bounds, variant)
-            for w in game.succ[v]
-        ]
-        pick = max if game.owners[v] == EVEN else min
-        new = pick(outcomes, key=state_key)
-        if state_key(new) > state_key(mu[v]):
+        col = column[v]
+        ws = succ[v]
+        new = col[mu[ws[0]]]
+        if even_owned[v]:
+            for w in ws:
+                x = col[mu[w]]
+                if x > new:
+                    new = x
+        else:
+            for w in ws:
+                x = col[mu[w]]
+                if x < new:
+                    new = x
+        if new > mu[v]:
             mu[v] = new
             lifts += 1
-            for p in game.predecessors[v]:
+            for p in preds[v]:
                 if not in_queue[p]:
                     in_queue[p] = True
                     queue.append(p)
-    even = frozenset(v for v in game.vertices() if mu[v] is WON)
+    even = frozenset(v for v in game.vertices() if mu[v] == won)
     if stats is not None:
         stats["lifts"] = lifts
     return WinningSets(even=even, odd=frozenset(game.vertices()) - even)

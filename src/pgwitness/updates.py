@@ -20,6 +20,7 @@ import enum
 from bisect import bisect_left
 from functools import lru_cache
 
+from .counting import count_classic_by_value, count_concise_by_value
 from .errors import ResourceCapError
 from .witnesses import (
     BLANK,
@@ -225,34 +226,62 @@ def _space_keys(bounds: Bounds, variant: UpdateVariant):
     return [witness_key(c) for c in update_space(bounds, variant)]
 
 
-@lru_cache(maxsize=64)
-def _antagonistic_table(
-    bounds: Bounds, variant: UpdateVariant
-) -> tuple[dict[Witness, int], dict[int, list[State]]]:
-    """Suffix minima of the capped update over the sorted statespace.
+RankTable = tuple[tuple[Witness, ...], dict[Witness, int], dict[int, list[int]]]
 
-    ``table[d][rank(s)]`` is the least capped-update outcome over every
-    state of rank at least ``rank(s)``, which is exactly the antagonistic
-    update (the order is total, so the up-set of ``s`` is a rank suffix).
+
+@lru_cache(maxsize=64)
+def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
+    """The antagonistic update over statespace ranks, as ``(space, rank,
+    columns)``.
+
+    ``space`` is the sorted statespace and ``rank`` its inverse; rank
+    ``len(space)`` stands for WON, so the witness order is integer order.
+    ``columns[d][r]`` is the least capped-update outcome, as a rank, over
+    every state of rank at least ``r``.  That is the antagonistic update
+    of the state of rank ``r`` by colour ``d`` (the order is total, so an
+    up-set is a rank suffix).  Every column ends with WON's own entry.
     """
     space = update_space(bounds, variant)
     rank = {c: i for i, c in enumerate(space)}
-    table: dict[int, list[State]] = {}
-    for d in range(bounds.min_colour, bounds.max_colour + 1):
-        col: list[State] = [WON] * len(space)
-        best: State = WON
-        best_key = state_key(best)
-        for r in range(len(space) - 1, -1, -1):
-            out = capped_update(space[r], d, bounds, variant)
-            ok = state_key(out)
-            if ok < best_key:
-                best, best_key = out, ok
+    won = len(space)
+    columns: dict[int, list[int]] = {}
+    for d in bounds.colours:
+        col = [won] * (won + 1)
+        best = won
+        for r in range(won - 1, -1, -1):
+            out = rank.get(capped_update(space[r], d, bounds, variant), won)
+            if out < best:
+                best = out
             col[r] = best
-        table[d] = col
-    return rank, table
+        columns[d] = col
+    return space, rank, columns
 
 
 ANTAGONISTIC_TABLE_CAP = 200_000
+
+
+def space_size(bounds: Bounds, variant: UpdateVariant) -> int:
+    """Exact size of the statespace the rule set runs on, without
+    enumerating it."""
+    ec = 2 * (bounds.max_colour // 2)
+    if variant is UpdateVariant.CLASSIC:
+        return count_classic_by_value(ec, bounds.e)
+    return count_concise_by_value(ec, bounds.e)
+
+
+def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
+    """The antagonistic table, for solvers that run on ranks.
+
+    Raises ResourceCapError, before building anything, when the
+    statespace has more than ``ANTAGONISTIC_TABLE_CAP`` states.
+    """
+    size = space_size(bounds, variant)
+    if size > ANTAGONISTIC_TABLE_CAP:
+        raise ResourceCapError(
+            f"{variant.value} statespace for {bounds} has {size} states, "
+            f"above the antagonistic table cap of {ANTAGONISTIC_TABLE_CAP}"
+        )
+    return _antagonistic_table(bounds, variant)
 
 
 def antagonistic_update(
@@ -265,19 +294,19 @@ def antagonistic_update(
 ) -> State:
     """Antagonistic update for production use.
 
-    Backed by precomputed suffix minima while the statespace fits under
-    ``table_cap`` states, by the constructive routine beyond that.
+    Backed by the rank table while the statespace has at most
+    ``table_cap`` states, by the constructive routine beyond that; the
+    choice comes from the exact statespace size.
     """
     if s is WON:
         _check_colour(d, bounds)
         return WON
-    try:
-        _statespace(bounds, space_variant_for(variant), table_cap)
-    except ResourceCapError:
+    if space_size(bounds, variant) > table_cap:
         return antagonistic_update_fast(s, d, bounds, variant)
-    rank, table = _antagonistic_table(bounds, variant)
+    space, rank, columns = _antagonistic_table(bounds, variant)
     _check_colour(d, bounds)
-    return table[d][rank[s]]
+    r = columns[d][rank[s]]
+    return WON if r == len(space) else space[r]
 
 
 def antagonistic_update_fast(

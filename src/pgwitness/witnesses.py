@@ -134,11 +134,6 @@ def entry_key(x: Entry) -> tuple[int, int]:
     return (2, x)
 
 
-def entry_ge(a: Entry, b: Entry) -> bool:
-    """True if entry ``a`` is at least as good as ``b`` in the entry order."""
-    return entry_key(a) >= entry_key(b)
-
-
 def witness_key(w: Witness) -> tuple[tuple[int, int], ...]:
     return tuple(entry_key(x) for x in w)
 

@@ -24,6 +24,7 @@ from math import comb
 from pgwitness.automata import SepAutomaton, bounds_for_game, play_word
 from pgwitness.counting import (
     count_bitword_measures,
+    count_classic_by_value,
     count_concise_by_length,
     count_concise_by_length_value,
     count_concise_by_value,
@@ -274,10 +275,15 @@ def test_criterion_4_enumeration_matches_counts():
                     b,
                     "concise",
                 )
+                n_cls = len(enumerate_statespace(b, StatespaceVariant.CLASSIC_VALUE_CAPPED))
+                assert n_cls == count_classic_by_value(2 * (max_c // 2), e), (
+                    b,
+                    "classic-value-capped",
+                )
                 checked += 1
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0
-    _report(4, ok, f"{checked} bounds, both formulas exact, {elapsed:.2f}s (< 60s)")
+    _report(4, ok, f"{checked} bounds, all three formulas exact, {elapsed:.2f}s (< 60s)")
     assert elapsed < 60.0, f"{elapsed:.2f}s"
 
 

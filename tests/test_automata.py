@@ -61,6 +61,13 @@ def test_bounds_for_game_explicit_budget_and_min_colour():
     assert (b.e, b.min_colour, b.max_colour) == (7, 2, 4)
 
 
+def test_bounds_for_game_rejects_budgets_below_the_even_vertex_count():
+    g = game([0, 1, 0], [2, 1, 4], [[1], [2], [0]])
+    with pytest.raises(ValueError, match="unsound"):
+        bounds_for_game(g, e=1)
+    assert bounds_for_game(g, e=2).e == 2
+
+
 def test_bounds_for_game_all_odd_is_none():
     g = game([0, 1], [1, 3], [[1], [0]])
     assert bounds_for_game(g) is None

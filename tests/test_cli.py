@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from pgwitness.cli import main
+from pgwitness.games import generate_random, serialize_pgsolver
 
 EVEN_LOOP = "parity 0;\n0 2 0 0;\n"
 
@@ -63,6 +69,39 @@ def test_solve_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "solve", "/nonexistent/game.gm")
     assert code == 2
     assert "error:" in err
+
+
+def test_solve_budget_below_the_even_vertex_count_exits_2(tmp_path, capsys):
+    f = tmp_path / "g.gm"
+    f.write_text(serialize_pgsolver(generate_random(8, 4, (1, 3), 4)))
+    code, out, err = run(capsys, "solve", str(f), "--algo", "lifting", "--e", "1")
+    assert code == 2
+    assert out == ""
+    assert "unsound" in err
+
+
+def test_solve_lifting_above_the_table_cap_exits_3(tmp_path, capsys):
+    f = tmp_path / "g.gm"
+    f.write_text(serialize_pgsolver(generate_random(8, 10, (1, 3), 13)))
+    code, out, err = run(capsys, "solve", str(f), "--algo", "lifting", "--e", "484")
+    assert code == 3
+    assert out == ""
+    assert "table cap" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, capsys):
+    f = tmp_path / "g.gm"
+    f.write_text(serialize_pgsolver(generate_random(9, 5, (1, 3), 2)))
+    argv = ["solve", str(f), "--algo", "lifting", "--variant", "colour"]
+    code, out, _ = run(capsys, *argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pgwitness", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and out.startswith("even:")
 
 
 def test_trace_colour_word_to_acceptance(capsys):

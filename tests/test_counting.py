@@ -8,6 +8,7 @@ from pgwitness.counting import (
     FIXED_COLOUR_ROWS,
     LINEAR_COLOUR_ROWS,
     count_bitword_measures,
+    count_classic_by_value,
     count_concise_by_length,
     count_concise_by_length_value,
     count_concise_by_value,
@@ -35,6 +36,17 @@ def test_base_cases():
     assert count_evenweight_by_length_value(9, 1, 0) == 1
     assert count_evenweight_by_length_value(9, 1, 1) == 5
     assert total_bitword_measures(2, 1) == 4
+
+
+def test_classic_value_count_anchors():
+    # Bounds(10, 484), the benchmark's above-cap statespace: the classic
+    # space is more than twice the concise one
+    assert count_classic_by_value(10, 484) == 624232
+    assert count_concise_by_value(10, 484) == 291606
+    # without odd colours there is nothing to truncate
+    for v in range(1, 40):
+        assert count_classic_by_value(2, v) == count_concise_by_value(2, v)
+    assert count_classic_by_value(0, 5) == 1
 
 
 def test_every_empty_even_range_counts_the_all_blank_tuple():

@@ -4,9 +4,10 @@ import pytest
 
 from conftest import game
 from oracles import brute_force_even_region
+from pgwitness import updates, witnesses
 from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game
 from pgwitness.errors import ResourceCapError
-from pgwitness.games import EVEN, ODD, generate_random
+from pgwitness.games import EVEN, ODD, generate_random, normalize_colours
 from pgwitness.solvers import (
     WinningSets,
     attractor,
@@ -174,9 +175,47 @@ def test_lifting_rejects_unnormalized_colour_zero():
         solve_lifting(g, UpdateVariant.CONCISE)
 
 
+# An 8-vertex game whose colours normalise to 1..10.  At the forced budget
+# e=484 both update statespaces are above the antagonistic table cap
+# (291 606 concise states, 624 232 classic ones).
+ABOVE_CAP_GAME = generate_random(8, 10, (1, 3), 13)
+ABOVE_CAP_E = 484
+
+
+def test_lifting_above_the_table_cap_fails_before_any_work():
+    norm, _ = normalize_colours(ABOVE_CAP_GAME)
+    assert max(norm.colours) == 10
+    tables = updates._antagonistic_table.cache_info().misses
+    spaces = witnesses._statespace.cache_info().misses
+    for variant in UpdateVariant:
+        with pytest.raises(ResourceCapError, match="table cap"):
+            solve(ABOVE_CAP_GAME, "lifting", variant, UpdateKind.ANTAGONISTIC, ABOVE_CAP_E)
+    assert updates._antagonistic_table.cache_info().misses == tables
+    assert witnesses._statespace.cache_info().misses == spaces
+
+
+def test_product_above_the_table_cap_agrees_with_zielonka():
+    oracle = zielonka(ABOVE_CAP_GAME)
+    assert oracle.even and oracle.odd
+    for variant in UpdateVariant:
+        for kind in UpdateKind:
+            got = solve(ABOVE_CAP_GAME, "product", variant, kind, ABOVE_CAP_E)
+            assert got == oracle, (variant, kind)
+
+
 # ---------------------------------------------------------------------------
 # solve() front door
 # ---------------------------------------------------------------------------
+
+
+def test_solve_rejects_budgets_below_the_even_vertex_count():
+    # With e=1 both witness solvers used to answer wrong on this game.
+    g = generate_random(8, 4, (1, 3), 4)
+    assert g.even_vertex_count == 3
+    for algo, kind in (("product", UpdateKind.BASIC), ("lifting", UpdateKind.ANTAGONISTIC)):
+        with pytest.raises(ValueError, match="unsound"):
+            solve(g, algo, UpdateVariant.CONCISE, kind, e=1)
+        assert solve(g, algo, UpdateVariant.CONCISE, kind, e=3) == zielonka(g)
 
 
 def test_solve_normalizes_before_solving():

@@ -2,14 +2,19 @@ from __future__ import annotations
 
 import pytest
 
+from pgwitness import witnesses
+from pgwitness.counting import count_classic_by_value, count_concise_by_value
 from pgwitness.updates import (
+    ANTAGONISTIC_TABLE_CAP,
     UpdateVariant,
+    _antagonistic_table,
     antagonistic_update,
     antagonistic_update_fast,
     antagonistic_update_reference,
     capped_update,
     raw_update,
     raw_update_with_rule,
+    space_size,
     space_variant_for,
     update_space,
 )
@@ -237,6 +242,48 @@ def test_antagonistic_falls_back_to_fast_above_the_table_cap():
     b = Bounds(max_colour=6, e=31)
     got = antagonistic_update((B,) * 5, 2, b, CONCISE, table_cap=5)
     assert got == antagonistic_update_fast((B,) * 5, 2, b, CONCISE)
+
+
+def test_antagonistic_above_the_table_cap_enumerates_nothing():
+    b = Bounds(max_colour=10, e=484)
+    assert space_size(b, CONCISE) == 291606 > ANTAGONISTIC_TABLE_CAP
+    start = (6, 3) + (B,) * 7
+    misses = witnesses._statespace.cache_info().misses
+    for d in (4, 7):
+        got = antagonistic_update(start, d, b, CONCISE)
+        assert got == antagonistic_update_fast(start, d, b, CONCISE)
+    assert witnesses._statespace.cache_info().misses == misses
+
+
+def test_space_size_is_the_enumerated_size():
+    for maxc, e in [(1, 3), (2, 1), (5, 6), (6, 12), (7, 20)]:
+        b = Bounds(max_colour=maxc, e=e)
+        for variant in UpdateVariant:
+            assert space_size(b, variant) == len(update_space(b, variant))
+    b = Bounds(max_colour=9, e=100)
+    assert space_size(b, CLASSIC) == count_classic_by_value(8, 100)
+    assert space_size(b, COLOUR) == count_concise_by_value(8, 100)
+
+
+def test_rank_table_agrees_with_the_witness_order_and_the_reference():
+    """Ranks sort like ``state_key`` (WON last), and every table entry,
+    mapped back to a state, is the reference antagonistic update."""
+    for min_c in (1, 2):
+        for maxc in range(min_c, 7):
+            for e in range(1, 16):
+                b = Bounds(max_colour=maxc, e=e, min_colour=min_c)
+                for variant in UpdateVariant:
+                    space, rank, columns = _antagonistic_table(b, variant)
+                    states = space + (WON,)
+                    won = len(space)
+                    assert sorted(states, key=state_key) == list(states)
+                    assert [rank[s] for s in space] == list(range(won))
+                    for d in b.colours:
+                        col = columns[d]
+                        assert len(col) == won + 1 and col[won] == won
+                        for s in space:
+                            ref = antagonistic_update_reference(s, d, b, variant)
+                            assert states[col[rank[s]]] == ref, (b, variant, d, s)
 
 
 def test_space_variant_mapping():
