@@ -48,7 +48,6 @@ from .games import (
 from .solvers import (
     WinningSets,
     attractor,
-    check_separation,
     differential,
     solve,
     solve_lifting,
@@ -104,7 +103,6 @@ __all__ = [
     "attractor",
     "bounds_for_game",
     "capped_update",
-    "check_separation",
     "count_bitword_measures",
     "count_concise_by_length",
     "count_concise_by_length_value",

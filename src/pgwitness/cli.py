@@ -122,33 +122,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    if args.table:
-        rows = (
-            counting.table_fixed_colours()
-            if args.table == "fixed"
-            else counting.table_linear_colours()
-        )
-        sys.stdout.write(counting.table_csv(rows))
-        return 0
-    if args.c is None or args.n_range is None:
+    if args.table == "fixed":
+        rows = counting.table_fixed_colours()
+    elif args.table == "linear":
+        rows = counting.table_linear_colours()
+    elif args.c is None or args.n_range is None:
         raise ValueError("need either --table or both --c and --n-range")
-    lo, hi = _parse_range(args.n_range)
-    rows = []
-    for n in range(lo, hi + 1):
-        old, jl, new = counting.statespace_totals(n, args.c)
-        rows.append(
-            {
-                "n": n,
-                "c": args.c,
-                "old_exact": old,
-                "jl_exact": jl,
-                "new_exact": new,
-                "old_k": old // 10**3,
-                "jl_k": jl // 10**3,
-                "new_k": new // 10**3,
-                "new_over_jl": f"{new / jl:.4f}",
-            }
-        )
+    else:
+        lo, hi = _parse_range(args.n_range)
+        rows = counting._table_rows(tuple((n, args.c) for n in range(lo, hi + 1)), 10**3)
     sys.stdout.write(counting.table_csv(rows))
     return 0
 

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .automata import SepAutomaton, UpdateKind, bounds_for_game
 from .errors import ResourceCapError
 from .games import EVEN, ODD, ParityGame, generate_random, normalize_colours
-from .updates import UpdateVariant, rank_table
+from .updates import ANTAGONISTIC_TABLE_CAP, UpdateVariant, rank_table, space_size
 from .witnesses import WON, State
 
 
@@ -134,27 +134,42 @@ def solve_product(
                 f"game colour {c} outside automaton colour range "
                 f"{b.min_colour}..{b.max_colour}"
             )
-    # Automaton states are interned as small ids on first sight, and each
-    # step is computed once per (state id, colour).
+    # Automaton states are small ints, and moves[d][q] is the state after
+    # reading d in state q.  Antagonistic steps within the table cap read
+    # the rank table, whose ranks are the states.  Otherwise states are
+    # interned as ids on first sight, and each step is computed once per
+    # (state id, colour), -1 marking a step not yet taken; the rows double
+    # in length whenever the ids outgrow them.
     state_id: dict[State, int] = {}
     states: list[State] = []
-    moves: list[list[int]] = []  # moves[q][d]: id after reading d, -1 until known
+    moves: dict[int, list[int]] = {d: [-1] * 64 for d in b.colours}
 
     def intern(s: State) -> int:
         q = state_id.get(s)
         if q is None:
             q = state_id[s] = len(states)
             states.append(s)
-            moves.append([-1] * (b.max_colour + 1))
+            if q == len(moves[b.min_colour]):
+                for row in moves.values():
+                    row.extend([-1] * q)
         return q
 
+    table = None
+    if automaton.kind is UpdateKind.ANTAGONISTIC:
+        table = rank_table(b, automaton.variant)
+    if table is None:
+        won = intern(WON)
+        initial = intern(automaton.initial)
+    else:
+        space, rank, moves = table
+        won, initial = len(space), rank[automaton.initial]
+
     # A product position is numbered in order of discovery and keyed by
-    # q * n + v for vertex v and state id q.  Positions 0..n-1 are the
-    # start positions (v, initial).  Positions are expanded in discovery
-    # order (breadth first); WON positions are not expanded.
+    # q * n + v for vertex v and state q.  Positions 0..n-1 are the start
+    # positions (v, initial).  Positions are expanded in discovery order
+    # (breadth first); WON positions are not expanded.
     n = game.n
-    won = intern(WON)
-    initial = intern(automaton.initial)
+    vertex_moves = [moves[d] for d in game.colours]
     vertex_of = list(game.vertices())
     state_of = [initial] * n
     index = {initial * n + v: v for v in game.vertices()}
@@ -166,10 +181,10 @@ def solve_product(
         succ.append(out)
         if q == won:
             continue
-        d = game.colours[v]
-        q2 = moves[q][d]
+        row = vertex_moves[v]
+        q2 = row[q]
         if q2 < 0:
-            q2 = moves[q][d] = intern(automaton.step(states[q], d))
+            q2 = row[q] = intern(automaton.step(states[q], game.colours[v]))
         base = q2 * n
         for w in game_succ[v]:
             pid = index.get(base + w)
@@ -243,7 +258,14 @@ def solve_lifting(
         if stats is not None:
             stats["lifts"] = 0
         return WinningSets(even=frozenset(), odd=frozenset(game.vertices()))
-    space, rank, columns = rank_table(bounds, variant)
+    table = rank_table(bounds, variant)
+    if table is None:
+        raise ResourceCapError(
+            f"{variant.value} statespace for {bounds} has "
+            f"{space_size(bounds, variant)} states, above the antagonistic "
+            f"table cap of {ANTAGONISTIC_TABLE_CAP}"
+        )
+    space, rank, columns = table
     won = len(space)
     column = [columns[c] for c in game.colours]
     succ = game.succ
@@ -315,35 +337,6 @@ def solve(
         automaton = SepAutomaton(bounds=bounds, variant=variant, kind=kind)
         return solve_product(norm, automaton, stats=stats)
     raise ValueError(f"unknown algorithm {algo!r}")
-
-
-def check_separation(
-    games: Sequence[ParityGame],
-    variant: UpdateVariant,
-    kind: UpdateKind = UpdateKind.BASIC,
-    e: int | None = None,
-) -> list[dict]:
-    """Cross-validate the witness solvers against the recursive oracle.
-
-    For each game: the forward reading (safety product with the given
-    update kind) and the backward reading (value iteration, which is
-    intrinsically antagonistic) must both reproduce the oracle's winning
-    sets.  Returns one row per game with agreement flags.
-    """
-    rows = []
-    for i, g in enumerate(games):
-        oracle = solve(g, "zielonka")
-        forward = solve(g, "product", variant, kind, e)
-        backward = solve(g, "lifting", variant, UpdateKind.ANTAGONISTIC, e)
-        rows.append(
-            {
-                "game": i,
-                "forward_agrees": forward == oracle,
-                "backward_agrees": backward == oracle,
-                "even_region": sorted(oracle.even),
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

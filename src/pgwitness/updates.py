@@ -21,7 +21,6 @@ from bisect import bisect_left
 from functools import lru_cache
 
 from .counting import count_classic_by_value, count_concise_by_value
-from .errors import ResourceCapError
 from .witnesses import (
     BLANK,
     WON,
@@ -145,6 +144,22 @@ def _raw_colour(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
     return WON, "carry-out"
 
 
+def _raw_concise(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
+    r, rule = _raw_classic(w, d, bounds)
+    if r is not WON:
+        r = truncate_odd_repeats(r)
+    return r, rule
+
+
+def _raw_rules(variant: UpdateVariant):
+    """The raw rule set of a variant: (witness, colour, bounds) -> (state, rule)."""
+    if variant is UpdateVariant.CLASSIC:
+        return _raw_classic
+    if variant is UpdateVariant.CONCISE:
+        return _raw_concise
+    return _raw_colour
+
+
 def raw_update_with_rule(
     w: Witness, d: int, bounds: Bounds, variant: UpdateVariant
 ) -> tuple[State, str]:
@@ -155,13 +170,12 @@ def raw_update_with_rule(
     result is not value-capped (see ``capped_update``).
     """
     _check_colour(d, bounds)
+    # The same choice as ``_raw_rules``, written out: the basic product
+    # comes through here once per step.
     if variant is UpdateVariant.CLASSIC:
         return _raw_classic(w, d, bounds)
     if variant is UpdateVariant.CONCISE:
-        r, rule = _raw_classic(w, d, bounds)
-        if r is not WON:
-            r = truncate_odd_repeats(r)
-        return r, rule
+        return _raw_concise(w, d, bounds)
     return _raw_colour(w, d, bounds)
 
 
@@ -230,6 +244,38 @@ RankTable = tuple[tuple[Witness, ...], dict[Witness, int], dict[int, list[int]]]
 
 
 @lru_cache(maxsize=64)
+def _block_ends(bounds: Bounds, variant: StatespaceVariant) -> list[int]:
+    """``ends[r]``: the rank just past the block of the state of rank ``r``.
+
+    The block of a state is every state that shares its entries above its
+    trailing Blanks.  Blank is the least entry, so a state is the first
+    of its block, and a block is a rank interval.  Blocks nest: the states
+    strictly inside a block split into the blocks of ``r + 1``,
+    ``ends[r + 1]``, and so on.
+    """
+    space = _statespace(bounds, variant, None)
+    ends = [len(space)] * len(space)
+    open_blocks: list[tuple[int, int]] = []  # (rank, entries above its trailing Blanks)
+    prev: Witness = ()
+    for r, w in enumerate(space):
+        # The first index where w leaves the previous state: every open
+        # block fixing more entries than that ends here.
+        common = 0
+        for x, y in zip(prev, w):
+            if x != y:
+                break
+            common += 1
+        while open_blocks and open_blocks[-1][1] > common:
+            ends[open_blocks.pop()[0]] = r
+        fixed = len(w)
+        while fixed and w[fixed - 1] == BLANK:
+            fixed -= 1
+        open_blocks.append((r, fixed))
+        prev = w
+    return ends
+
+
+@lru_cache(maxsize=64)
 def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     """The antagonistic update over statespace ranks, as ``(space, rank,
     columns)``.
@@ -240,19 +286,41 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     every state of rank at least ``r``.  That is the antagonistic update
     of the state of rank ``r`` by colour ``d`` (the order is total, so an
     up-set is a rank suffix).  Every column ends with WON's own entry.
+
+    Columns are filled a block at a time (see ``_block_ends``).  The
+    least outcome over a block is the outcome of its first state, as
+    ``antagonistic_update_fast`` shows, so ``col[r] = min(out(r),
+    col[end])`` for the block ``r..end-1``; when ``out(r)`` is not below
+    ``col[end]`` the whole block holds ``col[end]`` and none of its other
+    states is evaluated.  An outcome is ranked straight from the raw
+    rules: one above the budget is not in the value-capped space and
+    ranks as WON, as its capped form does.
     """
     space = update_space(bounds, variant)
     rank = {c: i for i, c in enumerate(space)}
     won = len(space)
+    ends = _block_ends(bounds, space_variant_for(variant))
+    rule = _raw_rules(variant)
     columns: dict[int, list[int]] = {}
     for d in bounds.colours:
         col = [won] * (won + 1)
-        best = won
-        for r in range(won - 1, -1, -1):
-            out = rank.get(capped_update(space[r], d, bounds, variant), won)
-            if out < best:
-                best = out
-            col[r] = best
+        # First states of the blocks still to fill.  Sub-blocks are pushed
+        # left to right, so a block is popped only after everything to its
+        # right is filled, and ``col[end]`` is final when it is read.
+        todo = [0]
+        while todo:
+            r = todo.pop()
+            end = ends[r]
+            right = col[end]
+            out = rank.get(rule(space[r], d, bounds)[0], won)
+            if out >= right:
+                col[r:end] = [right] * (end - r)
+                continue
+            col[r] = out
+            c = r + 1
+            while c < end:
+                todo.append(c)
+                c = ends[c]
         columns[d] = col
     return space, rank, columns
 
@@ -269,18 +337,16 @@ def space_size(bounds: Bounds, variant: UpdateVariant) -> int:
     return count_concise_by_value(ec, bounds.e)
 
 
-def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
-    """The antagonistic table, for solvers that run on ranks.
+def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
+    """The antagonistic table, or None when antagonistic steps must take
+    the constructive routine.
 
-    Raises ResourceCapError, before building anything, when the
-    statespace has more than ``ANTAGONISTIC_TABLE_CAP`` states.
+    Solvers make the table-or-constructive choice here, once per solve,
+    from the exact statespace size: nothing is enumerated or built when
+    the statespace has more than ``ANTAGONISTIC_TABLE_CAP`` states.
     """
-    size = space_size(bounds, variant)
-    if size > ANTAGONISTIC_TABLE_CAP:
-        raise ResourceCapError(
-            f"{variant.value} statespace for {bounds} has {size} states, "
-            f"above the antagonistic table cap of {ANTAGONISTIC_TABLE_CAP}"
-        )
+    if space_size(bounds, variant) > ANTAGONISTIC_TABLE_CAP:
+        return None
     return _antagonistic_table(bounds, variant)
 
 

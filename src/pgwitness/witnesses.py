@@ -274,7 +274,9 @@ def enumerate_statespace(
 def _statespace(
     bounds: Bounds, variant: StatespaceVariant, cap: int | None
 ) -> tuple[Witness, ...]:
-    alphabet = bounds.statespace_entries(variant)
+    # Entries are tried in the entry order, most significant position
+    # first, so states come out already sorted.
+    entries = [BLANK, *sorted(bounds.statespace_entries(variant), key=entry_key)]
     capped = variant is not StatespaceVariant.ORIGINAL_LENGTH
     concise = variant is StatespaceVariant.CONCISE
     out: list[Witness] = []
@@ -288,7 +290,7 @@ def _statespace(
                 )
             out.append(tuple(prefix))
             return
-        for x in (BLANK,) + alphabet:
+        for x in entries:
             if x != BLANK:
                 if x > last:
                     continue
@@ -313,7 +315,6 @@ def _statespace(
             prefix.pop()
 
     rec(bounds.k, bounds.max_colour + 1, 0, False, frozenset())
-    out.sort(key=witness_key)
     return tuple(out)
 
 

@@ -1,11 +1,6 @@
 from __future__ import annotations
 
-import sys
-from pathlib import Path
-
 from pgwitness.games import ParityGame
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 
 def game(owners, colours, succ) -> ParityGame:

@@ -11,6 +11,7 @@ import itertools
 from typing import Iterable, Sequence
 
 from pgwitness.games import EVEN, ParityGame
+from pgwitness.updates import UpdateVariant, capped_update, update_space
 from pgwitness.witnesses import (
     BLANK,
     Bounds,
@@ -116,3 +117,28 @@ def _passes(tup: Witness, bounds: Bounds, variant: StatespaceVariant) -> bool:
         if len(odds) != len(set(odds)):
             return False
     return True
+
+
+def suffix_minimum_columns(
+    bounds: Bounds, variant: UpdateVariant
+) -> dict[int, list[int]]:
+    """Antagonistic-update columns over statespace ranks, one capped update
+    per state and colour.
+
+    ``columns[d][r]`` is the least capped-update outcome, as a rank, over
+    every state of rank at least ``r``; rank ``len(space)`` is WON.
+    """
+    space = update_space(bounds, variant)
+    rank = {c: i for i, c in enumerate(space)}
+    won = len(space)
+    columns: dict[int, list[int]] = {}
+    for d in bounds.colours:
+        col = [won] * (won + 1)
+        best = won
+        for r in range(won - 1, -1, -1):
+            out = rank.get(capped_update(space[r], d, bounds, variant), won)
+            if out < best:
+                best = out
+            col[r] = best
+        columns[d] = col
+    return columns

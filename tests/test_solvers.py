@@ -10,8 +10,8 @@ from pgwitness.errors import ResourceCapError
 from pgwitness.games import EVEN, ODD, generate_random, normalize_colours
 from pgwitness.solvers import (
     WinningSets,
+    DIFF_METHODS,
     attractor,
-    check_separation,
     differential,
     differential_csv,
     solve,
@@ -203,6 +203,14 @@ def test_product_above_the_table_cap_agrees_with_zielonka():
             assert got == oracle, (variant, kind)
 
 
+def test_antagonistic_product_within_the_table_cap_steps_through_the_table(monkeypatch):
+    g = generate_random(30, 6, (1, 3), 2)
+    oracle = zielonka(g)
+    monkeypatch.setattr(SepAutomaton, "step", lambda *args: pytest.fail("stepped"))
+    for variant in UpdateVariant:
+        assert solve(g, "product", variant, UpdateKind.ANTAGONISTIC) == oracle
+
+
 # ---------------------------------------------------------------------------
 # solve() front door
 # ---------------------------------------------------------------------------
@@ -256,17 +264,16 @@ def test_winning_sets_winner_lookup():
 
 
 def test_check_separation_rows_agree():
-    games = [generate_random(6, 4, (1, 3), seed) for seed in range(8)]
-    for kind in UpdateKind:
-        for variant in UpdateVariant:
-            rows = check_separation(games, variant, kind)
-            assert len(rows) == len(games)
-            for row in rows:
-                assert row["forward_agrees"] and row["backward_agrees"], (
-                    variant,
-                    kind,
-                    row,
-                )
+    # The eight games of generate_random(6, 4, (1, 3), seed), each solved
+    # by product and lifting in every variant and update kind.
+    combos = {(algo, variant, kind) for _, algo, variant, kind in DIFF_METHODS}
+    assert combos == {("product", v, k) for v in UpdateVariant for k in UpdateKind} | {
+        ("lifting", v, UpdateKind.ANTAGONISTIC) for v in UpdateVariant
+    }
+    rows = differential(range(8), n=6, max_colour=4)
+    assert len(rows) == 8
+    for row in rows:
+        assert row["agree"] is True, row
 
 
 def test_differential_rows_and_bitstrings():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import suffix_minimum_columns
 from pgwitness import witnesses
 from pgwitness.counting import count_classic_by_value, count_concise_by_value
 from pgwitness.updates import (
@@ -284,6 +285,15 @@ def test_rank_table_agrees_with_the_witness_order_and_the_reference():
                         for s in space:
                             ref = antagonistic_update_reference(s, d, b, variant)
                             assert states[col[rank[s]]] == ref, (b, variant, d, s)
+
+
+@pytest.mark.parametrize(
+    "bounds", [Bounds(8, 77), Bounds(16, 16), Bounds(10, 30, min_colour=2)], ids=str
+)
+def test_block_filled_table_equals_the_suffix_minimum_oracle(bounds):
+    for variant in UpdateVariant:
+        _, _, columns = _antagonistic_table(bounds, variant)
+        assert columns == suffix_minimum_columns(bounds, variant), variant
 
 
 def test_space_variant_mapping():
