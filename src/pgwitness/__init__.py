@@ -58,7 +58,6 @@ from .updates import (
     UpdateVariant,
     antagonistic_update,
     antagonistic_update_fast,
-    antagonistic_update_reference,
     capped_update,
     raw_update,
     raw_update_with_rule,
@@ -99,7 +98,6 @@ __all__ = [
     "WinningSets",
     "antagonistic_update",
     "antagonistic_update_fast",
-    "antagonistic_update_reference",
     "attractor",
     "bounds_for_game",
     "capped_update",

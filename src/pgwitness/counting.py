@@ -197,7 +197,10 @@ def _count_classic(c: int, l: int, v: int) -> int:
     if l == 0:
         return 1
     weight = 1 << (l - 1)
-    total = _count_classic(c, l - 1, v)  # Blank at the top position
+    # Blank at the top position.  The other l - 1 positions weigh at most
+    # weight - 1, so a larger budget is clamped to that and the cache
+    # keeps O(l) budgets per colour instead of up to 2^l.
+    total = _count_classic(c, l - 1, min(v, weight - 1))
     if weight <= v:
         for x in range(2, c + 1):
             if x % 2 == 0:

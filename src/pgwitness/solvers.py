@@ -250,9 +250,6 @@ def solve_lifting(
     Raises ResourceCapError before any work when the statespace is above
     the antagonistic table cap.
     """
-    cmin = min(game.colours)
-    if cmin < 1:
-        raise ValueError("game has colour 0; normalize colours first")
     bounds = bounds_for_game(game, e)
     if bounds is None:
         if stats is not None:
@@ -331,6 +328,8 @@ def solve(
     if algo == "product":
         bounds = bounds_for_game(norm, e)
         if bounds is None:
+            if stats is not None:
+                stats["product_positions"] = 0
             return WinningSets(
                 even=frozenset(), odd=frozenset(game.vertices())
             )

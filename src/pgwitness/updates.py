@@ -17,10 +17,8 @@ basic form is not; monotonicity is what value iteration needs.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from functools import lru_cache
 
-from .counting import count_classic_by_value, count_concise_by_value
 from .witnesses import (
     BLANK,
     WON,
@@ -31,7 +29,7 @@ from .witnesses import (
     _statespace,
     entry_key,
     state_key,
-    witness_key,
+    statespace_size,
     witness_value,
     truncate_odd_repeats,
 )
@@ -59,32 +57,24 @@ def _check_colour(d: int, bounds: Bounds) -> None:
 
 def _raw_classic(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
     L = len(w)
-    if d % 2 and d == bounds.max_colour:
-        return (BLANK,) * L, "reset"
-    ent = lambda pos: w[L - 1 - pos]
-
-    if d % 2 == 0:
-        # Overflow: least position j holding Blank or an odd colour, with
-        # only even colours below it and nothing below d above it.  The
-        # new fragment at j absorbs the completed fragments below.
-        above_ok = True  # positions > j are Blank or >= d, checked downward
-        ok_from = [False] * (L + 1)
-        ok_from[L] = True
-        for pos in range(L - 1, -1, -1):
-            above_ok = ok_from[pos + 1] and (ent(pos) == BLANK or ent(pos) >= d)
-            ok_from[pos] = above_ok
-        below_even = True
-        for j in range(L):
-            x = ent(j)
-            if (x == BLANK or x % 2) and below_even and ok_from[j + 1]:
-                kept = w[: L - 1 - j]
-                return kept + (d,) + (BLANK,) * j, "overflow"
-            below_even = below_even and x != BLANK and x % 2 == 0
-            if not below_even:
-                # No higher j can satisfy the all-even-below condition.
-                break
-        if all(x != BLANK and x % 2 == 0 for x in w):
+    if d % 2:
+        if d == bounds.max_colour:
+            return (BLANK,) * L, "reset"
+    else:
+        # Overflow slot: the rightmost index holding Blank or an odd
+        # colour, so only even colours follow it.  With nothing below d
+        # before it, the new fragment there absorbs the completed
+        # fragments after it; with no slot at all the chain carries out.
+        slot = L - 1
+        while slot >= 0 and w[slot] != BLANK and w[slot] % 2 == 0:
+            slot -= 1
+        if slot < 0:
             return WON, "carry-out"
+        for x in w[:slot]:
+            if x != BLANK and x < d:
+                break
+        else:
+            return w[:slot] + (d,) + (BLANK,) * (L - 1 - slot), "overflow"
 
     # Local: greatest position holding a colour below d restarts with d
     # (or is cleared entirely at position 0).
@@ -206,38 +196,7 @@ def capped_update(s: State, d: int, bounds: Bounds, variant: UpdateVariant) -> S
 
 def update_space(bounds: Bounds, variant: UpdateVariant) -> tuple[Witness, ...]:
     """The sorted statespace the given rule set runs on (WON excluded)."""
-    return _statespace(bounds, space_variant_for(variant), None)
-
-
-def antagonistic_update_reference(
-    s: State, d: int, bounds: Bounds, variant: UpdateVariant
-) -> State:
-    """Least capped-update outcome over all
-
-    states at least as good as ``s`` (including WON).  Reference
-    implementation by direct enumeration of the statespace suffix; the
-    statespace is totally ordered, so the states above ``s`` form a
-    suffix of the sorted enumeration.
-    """
-    if s is WON:
-        _check_colour(d, bounds)
-        return WON
-    space = update_space(bounds, variant)
-    keys = _space_keys(bounds, variant)
-    start = bisect_left(keys, witness_key(s))
-    best: State = WON
-    best_key = state_key(best)
-    for c in space[start:]:
-        r = capped_update(c, d, bounds, variant)
-        rk = state_key(r)
-        if rk < best_key:
-            best, best_key = r, rk
-    return best
-
-
-@lru_cache(maxsize=64)
-def _space_keys(bounds: Bounds, variant: UpdateVariant):
-    return [witness_key(c) for c in update_space(bounds, variant)]
+    return _statespace(bounds, space_variant_for(variant))
 
 
 RankTable = tuple[tuple[Witness, ...], dict[Witness, int], dict[int, list[int]]]
@@ -253,7 +212,7 @@ def _block_ends(bounds: Bounds, variant: StatespaceVariant) -> list[int]:
     strictly inside a block split into the blocks of ``r + 1``,
     ``ends[r + 1]``, and so on.
     """
-    space = _statespace(bounds, variant, None)
+    space = _statespace(bounds, variant)
     ends = [len(space)] * len(space)
     open_blocks: list[tuple[int, int]] = []  # (rank, entries above its trailing Blanks)
     prev: Witness = ()
@@ -331,17 +290,15 @@ ANTAGONISTIC_TABLE_CAP = 200_000
 def space_size(bounds: Bounds, variant: UpdateVariant) -> int:
     """Exact size of the statespace the rule set runs on, without
     enumerating it."""
-    ec = 2 * (bounds.max_colour // 2)
-    if variant is UpdateVariant.CLASSIC:
-        return count_classic_by_value(ec, bounds.e)
-    return count_concise_by_value(ec, bounds.e)
+    return statespace_size(bounds, space_variant_for(variant))
 
 
 def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
     """The antagonistic table, or None when antagonistic steps must take
     the constructive routine.
 
-    Solvers make the table-or-constructive choice here, once per solve,
+    This is the only place the table-or-constructive choice is made
+    (solvers ask once per solve, ``antagonistic_update`` once per step),
     from the exact statespace size: nothing is enumerated or built when
     the statespace has more than ``ANTAGONISTIC_TABLE_CAP`` states.
     """
@@ -351,25 +308,18 @@ def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
 
 
 def antagonistic_update(
-    s: State,
-    d: int,
-    bounds: Bounds,
-    variant: UpdateVariant,
-    *,
-    table_cap: int = ANTAGONISTIC_TABLE_CAP,
+    s: State, d: int, bounds: Bounds, variant: UpdateVariant
 ) -> State:
-    """Antagonistic update for production use.
-
-    Backed by the rank table while the statespace has at most
-    ``table_cap`` states, by the constructive routine beyond that; the
-    choice comes from the exact statespace size.
+    """Antagonistic update for production use: a lookup in the table
+    ``rank_table`` gives, or the constructive routine when it gives none.
     """
     if s is WON:
         _check_colour(d, bounds)
         return WON
-    if space_size(bounds, variant) > table_cap:
+    table = rank_table(bounds, variant)
+    if table is None:
         return antagonistic_update_fast(s, d, bounds, variant)
-    space, rank, columns = _antagonistic_table(bounds, variant)
+    space, rank, columns = table
     _check_colour(d, bounds)
     r = columns[d][rank[s]]
     return WON if r == len(space) else space[r]

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
+from .counting import count_classic_by_value, count_concise_by_value, count_monotone_seqs
 from .errors import ResourceCapError
 
 BLANK = 0
@@ -224,34 +225,16 @@ def state_str(s: State) -> str:
     return ",".join("_" if x == BLANK else str(x) for x in s)
 
 
-def is_valid_state(w: object, bounds: Bounds, variant: StatespaceVariant) -> bool:
-    """Structural membership test for the given statespace."""
-    if w is WON:
-        return False
-    if not isinstance(w, tuple) or len(w) != bounds.length:
-        return False
-    allowed = set(bounds.statespace_entries(variant))
-    last = None  # most recent non-blank entry
-    for x in w:
-        if x == BLANK:
-            continue
-        if x not in allowed:
-            return False
-        if last is not None and x > last:
-            return False
-        last = x
+def statespace_size(bounds: Bounds, variant: StatespaceVariant) -> int:
+    """Exact number of states in a statespace (WON excluded), without
+    enumerating it.  Every size limit on a statespace is decided from this
+    count."""
     if variant is StatespaceVariant.ORIGINAL_LENGTH:
-        return True
-    rightmost = w[-1]
-    if rightmost != BLANK and rightmost % 2:
-        return False
-    if witness_value(w) > bounds.e:
-        return False
-    if variant is StatespaceVariant.CONCISE:
-        odds = [x for x in w if x != BLANK and x % 2]
-        if len(odds) != len(set(odds)):
-            return False
-    return True
+        return count_monotone_seqs(bounds.max_colour - bounds.min_colour + 1, bounds.length)
+    ec = 2 * (bounds.max_colour // 2)
+    if variant is StatespaceVariant.CLASSIC_VALUE_CAPPED:
+        return count_classic_by_value(ec, bounds.e)
+    return count_concise_by_value(ec, bounds.e)
 
 
 DEFAULT_SPACE_CAP = 1_000_000
@@ -264,16 +247,21 @@ def enumerate_statespace(
 ) -> list[Witness]:
     """All structurally valid witnesses, sorted ascending in witness order.
 
-    WON is not included.  Raises ResourceCapError when more than ``cap``
-    states would be produced.
+    WON is not included.  Raises ResourceCapError, before enumerating
+    anything, when the statespace has more than ``cap`` states.
     """
-    return list(_statespace(bounds, variant, cap))
+    if cap is not None:
+        size = statespace_size(bounds, variant)
+        if size > cap:
+            raise ResourceCapError(
+                f"statespace for {bounds} ({variant.value}) has {size} states, "
+                f"above the cap of {cap}"
+            )
+    return list(_statespace(bounds, variant))
 
 
 @lru_cache(maxsize=256)
-def _statespace(
-    bounds: Bounds, variant: StatespaceVariant, cap: int | None
-) -> tuple[Witness, ...]:
+def _statespace(bounds: Bounds, variant: StatespaceVariant) -> tuple[Witness, ...]:
     # Entries are tried in the entry order, most significant position
     # first, so states come out already sorted.
     entries = [BLANK, *sorted(bounds.statespace_entries(variant), key=entry_key)]
@@ -284,10 +272,6 @@ def _statespace(
 
     def rec(pos: int, last: int, value: int, seen_odd: bool, used_odds: frozenset[int]):
         if pos < 0:
-            if cap is not None and len(out) >= cap:
-                raise ResourceCapError(
-                    f"statespace for {bounds} ({variant.value}) exceeds cap {cap}"
-                )
             out.append(tuple(prefix))
             return
         for x in entries:

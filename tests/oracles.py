@@ -8,13 +8,15 @@ that it shares no algorithmic structure with the package code it checks.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from pgwitness.games import EVEN, ParityGame
 from pgwitness.updates import UpdateVariant, capped_update, update_space
 from pgwitness.witnesses import (
     BLANK,
+    WON,
     Bounds,
+    State,
     StatespaceVariant,
     Witness,
     witness_value,
@@ -83,37 +85,44 @@ def longest_even_chain_by_subsets(colours: Sequence[int]) -> int:
     return best
 
 
-def filter_enumerate(
-    bounds: Bounds,
-    variant: StatespaceVariant,
-    extra_entries: Iterable[int] = (),
-) -> set[Witness]:
+def filter_enumerate(bounds: Bounds, variant: StatespaceVariant) -> set[Witness]:
     """Statespace by filtering the full entry-tuple product.
 
-    ``extra_entries`` widens the alphabet (used to probe that excluded
-    colours never matter).  Way too slow beyond tiny bounds.
+    Way too slow beyond tiny bounds.
     """
-    alphabet = set(bounds.statespace_entries(variant)) | set(extra_entries)
-    choices = sorted(alphabet) + [BLANK]
-    out: set[Witness] = set()
-    for tup in itertools.product(choices, repeat=bounds.length):
-        if _passes(tup, bounds, variant):
-            out.add(tup)
-    return out
+    choices = sorted(bounds.statespace_entries(variant)) + [BLANK]
+    return {
+        tup
+        for tup in itertools.product(choices, repeat=bounds.length)
+        if is_valid_state(tup, bounds, variant)
+    }
 
 
-def _passes(tup: Witness, bounds: Bounds, variant: StatespaceVariant) -> bool:
-    non_blank = [x for x in tup if x != BLANK]
-    if any(b > a for a, b in zip(non_blank, non_blank[1:])):
-        return False  # numeric monotonicity, blanks skipped
+def is_valid_state(w: object, bounds: Bounds, variant: StatespaceVariant) -> bool:
+    """Structural membership test for the given statespace."""
+    if w is WON:
+        return False
+    if not isinstance(w, tuple) or len(w) != bounds.length:
+        return False
+    allowed = set(bounds.statespace_entries(variant))
+    last = None  # most recent non-blank entry
+    for x in w:
+        if x == BLANK:
+            continue
+        if x not in allowed:
+            return False
+        if last is not None and x > last:
+            return False
+        last = x
     if variant is StatespaceVariant.ORIGINAL_LENGTH:
         return True
-    if tup[-1] != BLANK and tup[-1] % 2:
+    rightmost = w[-1]
+    if rightmost != BLANK and rightmost % 2:
         return False
-    if witness_value(tup) > bounds.e:
+    if witness_value(w) > bounds.e:
         return False
     if variant is StatespaceVariant.CONCISE:
-        odds = [x for x in non_blank if x % 2]
+        odds = [x for x in w if x != BLANK and x % 2]
         if len(odds) != len(set(odds)):
             return False
     return True
@@ -142,3 +151,15 @@ def suffix_minimum_columns(
             col[r] = best
         columns[d] = col
     return columns
+
+
+def antagonistic_reference(
+    bounds: Bounds, variant: UpdateVariant
+) -> dict[int, dict[State, State]]:
+    """``reference[d][s]``: the antagonistic update of state ``s`` (WON
+    included) by colour ``d``, read off ``suffix_minimum_columns``."""
+    states = update_space(bounds, variant) + (WON,)
+    return {
+        d: {s: states[r] for s, r in zip(states, col)}
+        for d, col in suffix_minimum_columns(bounds, variant).items()
+    }

@@ -9,6 +9,7 @@ from pgwitness.cli import main
 from pgwitness.games import generate_random, serialize_pgsolver
 
 EVEN_LOOP = "parity 0;\n0 2 0 0;\n"
+ALL_ODD = "parity 1;\n0 1 0 1;\n1 3 1 0;\n"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -26,6 +27,15 @@ def test_solve_even_self_loop(tmp_path, capsys):
     assert lines[0] == "even: 0"
     assert lines[1] == "odd: "
     assert any(line.startswith("# calls:") for line in lines[2:])
+
+
+def test_solve_without_even_colours_prints_a_zero_work_counter(tmp_path, capsys):
+    f = tmp_path / "odd.gm"
+    f.write_text(ALL_ODD)
+    for algo, counter in (("product", "# product_positions: 0"), ("lifting", "# lifts: 0")):
+        code, out, _ = run(capsys, "solve", str(f), "--algo", algo)
+        assert code == 0
+        assert out.split("\n")[:3] == ["even: ", "odd: 0 1", counter], algo
 
 
 def test_solve_same_answer_for_every_algorithm(tmp_path, capsys):
@@ -185,7 +195,7 @@ def test_enumerate_cap_exits_3(capsys):
         "10",
     )
     assert code == 3
-    assert "cap" in err
+    assert "has 1683 states, above the cap of 10" in err
 
 
 def test_count_fixed_table(capsys):

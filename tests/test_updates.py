@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import suffix_minimum_columns
-from pgwitness import witnesses
-from pgwitness.counting import count_classic_by_value, count_concise_by_value
+from oracles import antagonistic_reference, suffix_minimum_columns
+from pgwitness import updates, witnesses
+from pgwitness.counting import (
+    count_classic_by_value,
+    count_concise_by_value,
+    count_monotone_seqs,
+)
 from pgwitness.updates import (
     ANTAGONISTIC_TABLE_CAP,
     UpdateVariant,
     _antagonistic_table,
     antagonistic_update,
     antagonistic_update_fast,
-    antagonistic_update_reference,
     capped_update,
     raw_update,
     raw_update_with_rule,
@@ -26,6 +29,7 @@ from pgwitness.witnesses import (
     StatespaceVariant,
     enumerate_statespace,
     state_key,
+    statespace_size,
     truncate_odd_repeats,
     witness_value,
 )
@@ -197,22 +201,22 @@ def test_updates_never_write_the_lowest_odd_colour():
 
 
 def test_antagonistic_examples_two_colours_budget_one():
-    b = Bounds(max_colour=2, e=1)
-    au = antagonistic_update_reference
-    assert au((B,), 1, b, CLASSIC) == (B,)
-    assert au((B,), 2, b, CLASSIC) == (2,)
-    assert au((2,), 1, b, CLASSIC) == (2,)
-    assert au((2,), 2, b, CLASSIC) is WON
-    assert au(WON, 1, b, CLASSIC) is WON
+    ref = antagonistic_reference(Bounds(max_colour=2, e=1), CLASSIC)
+    assert ref[1][(B,)] == (B,)
+    assert ref[2][(B,)] == (2,)
+    assert ref[1][(2,)] == (2,)
+    assert ref[2][(2,)] is WON
+    assert ref[1][WON] is WON
 
 
 def test_antagonistic_is_at_least_the_basic_update():
     b = Bounds(max_colour=4, e=7)
     for variant in UpdateVariant:
+        ref = antagonistic_reference(b, variant)
         for w in update_space(b, variant):
             for d in b.colours:
                 basic = capped_update(w, d, b, variant)
-                anta = antagonistic_update_reference(w, d, b, variant)
+                anta = ref[d][w]
                 assert state_key(anta) <= state_key(basic)
 
 
@@ -220,9 +224,10 @@ def test_antagonistic_reference_fast_and_table_agree():
     for maxc, e in [(2, 1), (3, 3), (4, 7), (5, 5), (6, 12)]:
         b = Bounds(max_colour=maxc, e=e)
         for variant in UpdateVariant:
+            reference = antagonistic_reference(b, variant)
             for w in update_space(b, variant) + (WON,):
                 for d in b.colours:
-                    ref = antagonistic_update_reference(w, d, b, variant)
+                    ref = reference[d][w]
                     fast = antagonistic_update_fast(w, d, b, variant)
                     table = antagonistic_update(w, d, b, variant)
                     assert state_key(ref) == state_key(fast) == state_key(table)
@@ -239,9 +244,10 @@ def test_antagonistic_monotone_in_the_state():
             assert images == sorted(images)
 
 
-def test_antagonistic_falls_back_to_fast_above_the_table_cap():
+def test_antagonistic_falls_back_to_fast_above_the_table_cap(monkeypatch):
+    monkeypatch.setattr(updates, "ANTAGONISTIC_TABLE_CAP", 5)
     b = Bounds(max_colour=6, e=31)
-    got = antagonistic_update((B,) * 5, 2, b, CONCISE, table_cap=5)
+    got = antagonistic_update((B,) * 5, 2, b, CONCISE)
     assert got == antagonistic_update_fast((B,) * 5, 2, b, CONCISE)
 
 
@@ -261,9 +267,20 @@ def test_space_size_is_the_enumerated_size():
         b = Bounds(max_colour=maxc, e=e)
         for variant in UpdateVariant:
             assert space_size(b, variant) == len(update_space(b, variant))
+        original = StatespaceVariant.ORIGINAL_LENGTH
+        assert statespace_size(b, original) == len(enumerate_statespace(b, original))
     b = Bounds(max_colour=9, e=100)
     assert space_size(b, CLASSIC) == count_classic_by_value(8, 100)
     assert space_size(b, COLOUR) == count_concise_by_value(8, 100)
+    assert statespace_size(b, StatespaceVariant.ORIGINAL_LENGTH) == count_monotone_seqs(9, 7)
+
+
+def test_enumeration_and_update_space_share_one_cache_entry():
+    b = Bounds(max_colour=7, e=45)
+    misses = witnesses._statespace.cache_info().misses
+    listed = enumerate_statespace(b, StatespaceVariant.CONCISE)
+    assert tuple(listed) == update_space(b, CONCISE)
+    assert witnesses._statespace.cache_info().misses == misses + 1
 
 
 def test_rank_table_agrees_with_the_witness_order_and_the_reference():
@@ -275,6 +292,7 @@ def test_rank_table_agrees_with_the_witness_order_and_the_reference():
                 b = Bounds(max_colour=maxc, e=e, min_colour=min_c)
                 for variant in UpdateVariant:
                     space, rank, columns = _antagonistic_table(b, variant)
+                    reference = antagonistic_reference(b, variant)
                     states = space + (WON,)
                     won = len(space)
                     assert sorted(states, key=state_key) == list(states)
@@ -283,7 +301,7 @@ def test_rank_table_agrees_with_the_witness_order_and_the_reference():
                         col = columns[d]
                         assert len(col) == won + 1 and col[won] == won
                         for s in space:
-                            ref = antagonistic_update_reference(s, d, b, variant)
+                            ref = reference[d][s]
                             assert states[col[rank[s]]] == ref, (b, variant, d, s)
 
 

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import is_valid_state
+from pgwitness import witnesses
+from pgwitness.counting import count_monotone_seqs
 from pgwitness.errors import ResourceCapError
 from pgwitness.witnesses import (
     BLANK,
@@ -17,7 +20,6 @@ from pgwitness.witnesses import (
     even_positions,
     is_classic_witness,
     is_colour_witness,
-    is_valid_state,
     state_key,
     state_str,
     truncate_odd_repeats,
@@ -147,8 +149,12 @@ def test_enumeration_matches_filter_oracle(max_colour, e, variant):
 
 def test_enumeration_cap_is_enforced():
     b = Bounds(max_colour=6, e=31)
-    with pytest.raises(ResourceCapError):
+    size = count_monotone_seqs(6, 5)
+    misses = witnesses._statespace.cache_info().misses
+    with pytest.raises(ResourceCapError, match=f"{size} states.*cap of 10"):
         enumerate_statespace(b, StatespaceVariant.ORIGINAL_LENGTH, cap=10)
+    assert witnesses._statespace.cache_info().misses == misses
+    assert len(enumerate_statespace(b, StatespaceVariant.ORIGINAL_LENGTH, cap=size)) == size
 
 
 def test_is_valid_state_rejects_structural_violations():
