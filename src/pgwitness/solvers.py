@@ -27,7 +27,14 @@ from typing import Iterable, Sequence
 from .automata import SepAutomaton, UpdateKind, bounds_for_game
 from .errors import ResourceCapError
 from .games import EVEN, ODD, ParityGame, generate_random, normalize_colours
-from .updates import ANTAGONISTIC_TABLE_CAP, UpdateVariant, rank_table, space_size
+from .updates import (
+    ANTAGONISTIC_TABLE_CAP,
+    UpdateVariant,
+    basic_rank_step,
+    basic_rows,
+    rank_table,
+    space_size,
+)
 from .witnesses import WON, State
 
 
@@ -135,79 +142,83 @@ def solve_product(
                 f"{b.min_colour}..{b.max_colour}"
             )
     # Automaton states are small ints, and moves[d][q] is the state after
-    # reading d in state q.  Antagonistic steps within the table cap read
-    # the rank table, whose ranks are the states.  Otherwise states are
-    # interned as ids on first sight, and each step is computed once per
-    # (state id, colour), -1 marking a step not yet taken; the rows double
-    # in length whenever the ids outgrow them.
-    state_id: dict[State, int] = {}
-    states: list[State] = []
-    moves: dict[int, list[int]] = {d: [-1] * 64 for d in b.colours}
-
-    def intern(s: State) -> int:
-        q = state_id.get(s)
-        if q is None:
-            q = state_id[s] = len(states)
-            states.append(s)
-            if q == len(moves[b.min_colour]):
-                for row in moves.values():
-                    row.extend([-1] * q)
-        return q
-
-    table = None
+    # reading d in state q, or -1 until take(q, d) computes it.  Within the
+    # table cap the states are statespace ranks: antagonistic steps read
+    # the full rank table, basic steps the basic rows, which are shared by
+    # every solve with the same bounds.  Above the cap, where nothing is
+    # enumerated, states are interned as ids on first sight and the rows
+    # double in length whenever the ids outgrow them.
+    variant = automaton.variant
     if automaton.kind is UpdateKind.ANTAGONISTIC:
-        table = rank_table(b, automaton.variant)
+        table = rank_table(b, variant)
+    else:
+        table = basic_rows(b, variant)
     if table is None:
+        state_id: dict[State, int] = {}
+        states: list[State] = []
+        moves: dict[int, list[int]] = {d: [-1] * 64 for d in b.colours}
+
+        def intern(s: State) -> int:
+            q = state_id.get(s)
+            if q is None:
+                q = state_id[s] = len(states)
+                states.append(s)
+                if q == len(moves[b.min_colour]):
+                    for row in moves.values():
+                        row.extend([-1] * q)
+            return q
+
+        def take(q: int, d: int) -> int:
+            return intern(automaton.step(states[q], d))
+
         won = intern(WON)
         initial = intern(automaton.initial)
     else:
         space, rank, moves = table
         won, initial = len(space), rank[automaton.initial]
+        take = basic_rank_step(b, variant)  # antagonistic columns are full: basic rows only
 
     # A product position is numbered in order of discovery and keyed by
     # q * n + v for vertex v and state q.  Positions 0..n-1 are the start
     # positions (v, initial).  Positions are expanded in discovery order
-    # (breadth first); WON positions are not expanded.
+    # (breadth first); WON positions are not expanded.  Exploring records
+    # each edge in its target's predecessor list.
     n = game.n
-    vertex_moves = [moves[d] for d in game.colours]
+    colours = game.colours
+    vertex_moves = [moves[d] for d in colours]
     vertex_of = list(game.vertices())
     state_of = [initial] * n
     index = {initial * n + v: v for v in game.vertices()}
-    n_prod = n
+    preds: list[list[int]] = [[] for _ in range(n)]
     game_succ = [tuple(dict.fromkeys(ws)) for ws in game.succ]  # duplicate edges count once
-    succ: list[list[int]] = []
-    for v, q in zip(vertex_of, state_of):  # the lists grow while this runs
-        out: list[int] = []
-        succ.append(out)
+    for p, (v, q) in enumerate(zip(vertex_of, state_of)):  # the lists grow while this runs
         if q == won:
             continue
         row = vertex_moves[v]
         q2 = row[q]
         if q2 < 0:
-            q2 = row[q] = intern(automaton.step(states[q], game.colours[v]))
+            q2 = row[q] = take(q, colours[v])
         base = q2 * n
         for w in game_succ[v]:
             pid = index.get(base + w)
             if pid is None:
-                pid = n_prod
+                pid = len(preds)
                 if pid >= cap:
                     raise ResourceCapError(
                         f"product exceeds cap of {cap} positions (bounds {b})"
                     )
                 index[base + w] = pid
-                n_prod += 1
                 vertex_of.append(w)
                 state_of.append(q2)
-            out.append(pid)
+                preds.append([p])
+            else:
+                preds[pid].append(p)
 
-    # Backward induction over the explored product (successor-closed):
+    # Backward induction over the explicit product (successor-closed):
     # WON positions are winning; Even positions win with one winning
-    # successor, Odd positions once all successors are winning.
-    preds: list[list[int]] = [[] for _ in range(n_prod)]
-    for p, out in enumerate(succ):
-        for t in out:
-            preds[t].append(p)
-    degree = [len(out) for out in succ]
+    # successor, Odd positions once all their successors are winning.
+    n_prod = len(preds)
+    degree = [len(game_succ[v]) for v in vertex_of]
     winning = [q == won for q in state_of]
     queue = deque(p for p in range(n_prod) if winning[p])
     even_owned = [o == EVEN for o in game.owners]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from typing import Callable
 
 from .witnesses import (
     BLANK,
@@ -160,13 +161,7 @@ def raw_update_with_rule(
     result is not value-capped (see ``capped_update``).
     """
     _check_colour(d, bounds)
-    # The same choice as ``_raw_rules``, written out: the basic product
-    # comes through here once per step.
-    if variant is UpdateVariant.CLASSIC:
-        return _raw_classic(w, d, bounds)
-    if variant is UpdateVariant.CONCISE:
-        return _raw_concise(w, d, bounds)
-    return _raw_colour(w, d, bounds)
+    return _raw_rules(variant)(w, d, bounds)
 
 
 def raw_update(w: Witness, d: int, bounds: Bounds, variant: UpdateVariant) -> State:
@@ -200,6 +195,34 @@ def update_space(bounds: Bounds, variant: UpdateVariant) -> tuple[Witness, ...]:
 
 
 RankTable = tuple[tuple[Witness, ...], dict[Witness, int], dict[int, list[int]]]
+
+
+@lru_cache(maxsize=64)
+def _ranked_space(
+    bounds: Bounds, variant: StatespaceVariant
+) -> tuple[tuple[Witness, ...], dict[Witness, int]]:
+    """The sorted statespace and its inverse, ``rank[space[r]] == r``.
+
+    One entry per statespace: concise and colour rules share theirs, and
+    the antagonistic table and the basic rows both read it.
+    """
+    space = _statespace(bounds, variant)
+    return space, {c: i for i, c in enumerate(space)}
+
+
+def basic_rank_step(bounds: Bounds, variant: UpdateVariant) -> Callable[[int, int], int]:
+    """The basic update on statespace ranks.
+
+    ``step(r, d)`` is the rank of the capped update of the state of rank
+    ``r`` by colour ``d``, with ``len(space)`` standing for WON.  The
+    outcome is ranked straight from the raw rules: one above the budget
+    is not in the value-capped space and ranks as WON, as its capped form
+    does.  Enumerates the statespace, so callers check the table cap first.
+    """
+    space, rank = _ranked_space(bounds, space_variant_for(variant))
+    won = len(space)
+    rule = _raw_rules(variant)
+    return lambda r, d: rank.get(rule(space[r], d, bounds)[0], won)
 
 
 @lru_cache(maxsize=64)
@@ -251,12 +274,10 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     ``antagonistic_update_fast`` shows, so ``col[r] = min(out(r),
     col[end])`` for the block ``r..end-1``; when ``out(r)`` is not below
     ``col[end]`` the whole block holds ``col[end]`` and none of its other
-    states is evaluated.  An outcome is ranked straight from the raw
-    rules: one above the budget is not in the value-capped space and
-    ranks as WON, as its capped form does.
+    states is evaluated.  Outcomes are ranked as ``basic_rank_step``
+    ranks them.
     """
-    space = update_space(bounds, variant)
-    rank = {c: i for i, c in enumerate(space)}
+    space, rank = _ranked_space(bounds, space_variant_for(variant))
     won = len(space)
     ends = _block_ends(bounds, space_variant_for(variant))
     rule = _raw_rules(variant)
@@ -271,7 +292,7 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
             r = todo.pop()
             end = ends[r]
             right = col[end]
-            out = rank.get(rule(space[r], d, bounds)[0], won)
+            out = rank.get(rule(space[r], d, bounds)[0], won)  # basic_rank_step, inlined
             if out >= right:
                 col[r:end] = [right] * (end - r)
                 continue
@@ -305,6 +326,28 @@ def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
     if space_size(bounds, variant) > ANTAGONISTIC_TABLE_CAP:
         return None
     return _antagonistic_table(bounds, variant)
+
+
+@lru_cache(maxsize=len(UpdateVariant))
+def _basic_rows(bounds: Bounds, variant: UpdateVariant) -> RankTable:
+    space, rank = _ranked_space(bounds, space_variant_for(variant))
+    won = len(space)
+    return space, rank, {d: [-1] * won + [won] for d in bounds.colours}
+
+
+def basic_rows(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
+    """The basic update over statespace ranks, as ``(space, rank, rows)``,
+    or None above the table cap.
+
+    ``rows[d][r]`` is ``basic_rank_step``'s outcome for rank ``r`` and
+    colour ``d``, or -1 until a caller first takes that step and stores
+    it; WON's own entry is WON.  The rows are filled on demand, since a
+    product takes only some of the steps, and kept for the last Bounds
+    used, so solves that share Bounds share their steps.
+    """
+    if space_size(bounds, variant) > ANTAGONISTIC_TABLE_CAP:
+        return None
+    return _basic_rows(bounds, variant)
 
 
 def antagonistic_update(

@@ -128,29 +128,35 @@ def is_valid_state(w: object, bounds: Bounds, variant: StatespaceVariant) -> boo
     return True
 
 
+def basic_columns(bounds: Bounds, variant: UpdateVariant) -> dict[int, list[int]]:
+    """The basic update over statespace ranks, one capped update per state
+    and colour.
+
+    ``columns[d][r]`` is the capped update of the state of rank ``r`` by
+    colour ``d``, as a rank; rank ``len(space)`` is WON, whose own entry
+    ends every column.  An outcome outside the statespace raises KeyError.
+    """
+    space = update_space(bounds, variant)
+    rank: dict[State, int] = {c: i for i, c in enumerate(space)}
+    rank[WON] = len(space)
+    return {
+        d: [rank[capped_update(s, d, bounds, variant)] for s in space] + [len(space)]
+        for d in bounds.colours
+    }
+
+
 def suffix_minimum_columns(
     bounds: Bounds, variant: UpdateVariant
 ) -> dict[int, list[int]]:
-    """Antagonistic-update columns over statespace ranks, one capped update
-    per state and colour.
+    """Antagonistic-update columns over statespace ranks.
 
-    ``columns[d][r]`` is the least capped-update outcome, as a rank, over
-    every state of rank at least ``r``; rank ``len(space)`` is WON.
+    ``columns[d][r]`` is the least of ``basic_columns(bounds,
+    variant)[d]`` over every rank at least ``r``.
     """
-    space = update_space(bounds, variant)
-    rank = {c: i for i, c in enumerate(space)}
-    won = len(space)
-    columns: dict[int, list[int]] = {}
-    for d in bounds.colours:
-        col = [won] * (won + 1)
-        best = won
-        for r in range(won - 1, -1, -1):
-            out = rank.get(capped_update(space[r], d, bounds, variant), won)
-            if out < best:
-                best = out
-            col[r] = best
-        columns[d] = col
-    return columns
+    return {
+        d: list(itertools.accumulate(reversed(col), min))[::-1]
+        for d, col in basic_columns(bounds, variant).items()
+    }
 
 
 def antagonistic_reference(
@@ -163,3 +169,49 @@ def antagonistic_reference(
         d: {s: states[r] for s, r in zip(states, col)}
         for d, col in suffix_minimum_columns(bounds, variant).items()
     }
+
+
+def product_even_region(
+    game: ParityGame, bounds: Bounds, variant: UpdateVariant, antagonistic: bool
+) -> tuple[frozenset[int], int]:
+    """Even's winning set through the explicit safety product, and the
+    number of product positions.
+
+    Positions are (vertex, state) pairs reached from every ``(v, blank)``;
+    a move along an edge from ``v`` feeds ``v``'s colour to the state,
+    through ``capped_update`` or ``antagonistic_reference``, and WON
+    positions are not expanded.  The winning positions are then the
+    least set containing the WON positions and closed under "Even owns a
+    position with a winning successor, or Odd owns one whose successors
+    all win", recomputed until nothing changes.
+    """
+    if antagonistic:
+        reference = antagonistic_reference(bounds, variant)
+        step = lambda s, d: reference[d][s]  # noqa: E731
+    else:
+        step = lambda s, d: capped_update(s, d, bounds, variant)  # noqa: E731
+    starts = {(v, bounds.blank_witness()) for v in game.vertices()}
+    seen = set(starts)
+    frontier = list(starts)
+    moves: dict[tuple[int, State], set[tuple[int, State]]] = {}
+    while frontier:
+        reached = []
+        for v, s in frontier:
+            if s is WON:
+                continue
+            t = step(s, game.colours[v])
+            targets = moves[v, s] = {(w, t) for w in game.succ[v]}
+            reached += targets - seen
+            seen |= targets
+        frontier = reached
+    winning = {p for p in seen if p[1] is WON}
+    changed = True
+    while changed:
+        changed = False
+        for p, targets in moves.items():
+            if p in winning:
+                continue
+            if targets & winning if game.owners[p[0]] == EVEN else targets <= winning:
+                winning.add(p)
+                changed = True
+    return frozenset(v for v, _ in starts & winning), len(seen)

@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import game
-from oracles import brute_force_even_region
-from pgwitness import updates, witnesses
+from oracles import brute_force_even_region, product_even_region
+from pgwitness import automata, updates, witnesses
 from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game
 from pgwitness.errors import ResourceCapError
 from pgwitness.games import EVEN, ODD, generate_random, normalize_colours
@@ -203,12 +203,72 @@ def test_product_above_the_table_cap_agrees_with_zielonka():
             assert got == oracle, (variant, kind)
 
 
-def test_antagonistic_product_within_the_table_cap_steps_through_the_table(monkeypatch):
+def test_product_within_the_table_cap_steps_on_statespace_ranks(monkeypatch):
+    # Both update kinds: antagonistic steps read the rank table, basic
+    # steps the basic rows, so no step goes through the tuple updates.
     g = generate_random(30, 6, (1, 3), 2)
     oracle = zielonka(g)
-    monkeypatch.setattr(SepAutomaton, "step", lambda *args: pytest.fail("stepped"))
+    stepped = lambda *args: pytest.fail("stepped through a tuple update")  # noqa: E731
+    monkeypatch.setattr(SepAutomaton, "step", stepped)
+    monkeypatch.setattr(automata, "capped_update", stepped)
+    monkeypatch.setattr(updates, "capped_update", stepped)
     for variant in UpdateVariant:
-        assert solve(g, "product", variant, UpdateKind.ANTAGONISTIC) == oracle
+        for kind in UpdateKind:
+            assert solve(g, "product", variant, kind) == oracle, (variant, kind)
+
+
+def _product_oracle_games():
+    yield game([ODD, EVEN, ODD], [2, 1, 2], [[1, 1], [2, 0], [0, 0]])  # duplicate edges
+    for seed in range(40):
+        yield generate_random(3 + seed % 6, 2 + seed % 5, (1, 3), 100 + seed)
+
+
+def test_product_matches_the_naive_product_oracle():
+    for g in _product_oracle_games():
+        norm, _ = normalize_colours(g)
+        bounds = bounds_for_game(norm)
+        if bounds is None:
+            continue
+        for variant in UpdateVariant:
+            for kind in UpdateKind:
+                expected, positions = product_even_region(
+                    norm, bounds, variant, kind is UpdateKind.ANTAGONISTIC
+                )
+                stats: dict = {}
+                aut = SepAutomaton(bounds=bounds, variant=variant, kind=kind)
+                got = solve_product(norm, aut, stats=stats)
+                assert got.even == expected, (g, variant, kind)
+                assert stats["product_positions"] == positions, (g, variant, kind)
+        assert expected == zielonka(norm).even
+
+
+# Lifts of the three lifting variants, then product positions of classic,
+# concise and colour with basic and antagonistic updates, as the solvers
+# counted them before the product moved onto statespace ranks.
+PINNED_WORK = {
+    0: (197, 197, 212, 2070, 2961, 1800, 2622, 1800, 2622),
+    1: (253, 253, 251, 875, 1324, 875, 1132, 928, 1136),
+    2: (830, 616, 524, 1546, 2327, 1268, 1825, 1461, 2286),
+    3: (511, 488, 430, 950, 1303, 856, 1193, 987, 1207),
+    4: (51, 51, 55, 683, 1297, 497, 1141, 686, 1152),
+    "demo": (12, 12, 12, 17, 17, 17, 17, 17, 17),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_WORK), ids=str)
+def test_work_counts_are_pinned(name):
+    # generate_random(30, 6, (1, 3), seed), and the README's demo game.
+    g = generate_random(5, 3, (1, 3), 1) if name == "demo" else generate_random(30, 6, (1, 3), name)
+    oracle = zielonka(g)
+    configs = [("lifting", v, UpdateKind.ANTAGONISTIC) for v in UpdateVariant] + [
+        ("product", v, k) for v in UpdateVariant for k in UpdateKind
+    ]
+    work = []
+    for algo, variant, kind in configs:
+        stats: dict = {}
+        assert solve(g, algo, variant, kind, stats=stats) == oracle, (algo, variant, kind)
+        work.append(stats.get("lifts", stats.get("product_positions")))
+    assert tuple(work) == PINNED_WORK[name]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import antagonistic_reference, suffix_minimum_columns
+from oracles import antagonistic_reference, basic_columns, suffix_minimum_columns
 from pgwitness import updates, witnesses
 from pgwitness.counting import (
     count_classic_by_value,
@@ -13,11 +13,16 @@ from pgwitness.updates import (
     ANTAGONISTIC_TABLE_CAP,
     UpdateVariant,
     _antagonistic_table,
+    _basic_rows,
+    _ranked_space,
     antagonistic_update,
     antagonistic_update_fast,
+    basic_rank_step,
+    basic_rows,
     capped_update,
     raw_update,
     raw_update_with_rule,
+    rank_table,
     space_size,
     space_variant_for,
     update_space,
@@ -312,6 +317,38 @@ def test_block_filled_table_equals_the_suffix_minimum_oracle(bounds):
     for variant in UpdateVariant:
         _, _, columns = _antagonistic_table(bounds, variant)
         assert columns == suffix_minimum_columns(bounds, variant), variant
+
+
+@pytest.mark.parametrize(
+    "bounds", [Bounds(8, 77), Bounds(16, 16), Bounds(10, 30, min_colour=2)], ids=str
+)
+def test_basic_rank_steps_equal_the_capped_update(bounds):
+    for variant in UpdateVariant:
+        step = basic_rank_step(bounds, variant)
+        won = space_size(bounds, variant)
+        steps = {d: [step(r, d) for r in range(won)] + [won] for d in bounds.colours}
+        assert steps == basic_columns(bounds, variant), variant
+
+
+def test_statespace_ranks_and_basic_rows_are_cached_per_statespace_and_bounds():
+    b, other = Bounds(9, 37), Bounds(9, 38)
+    assert _basic_rows.cache_info().maxsize == len(UpdateVariant)
+    ranked = _ranked_space.cache_info().misses
+    rows = {variant: basic_rows(b, variant) for variant in UpdateVariant}
+    tables = {variant: rank_table(b, variant) for variant in UpdateVariant}
+    # One (space, rank) pair per statespace: concise and colour share one.
+    assert _ranked_space.cache_info().misses == ranked + 2
+    assert rows[CONCISE][1] is rows[COLOUR][1] is tables[CONCISE][1] is tables[COLOUR][1]
+    assert rows[CLASSIC][1] is tables[CLASSIC][1]
+    won = space_size(b, CONCISE)
+    assert rows[CONCISE][2] == {d: [-1] * won + [won] for d in b.colours}
+    # Solves that share Bounds share their rows; a new Bounds evicts the
+    # least recently used rows.
+    assert basic_rows(b, CONCISE) is rows[CONCISE]
+    basic_rows(other, CLASSIC)
+    assert _basic_rows.cache_info().currsize == len(UpdateVariant)
+    assert basic_rows(b, CONCISE) is rows[CONCISE]
+    assert basic_rows(b, CLASSIC) is not rows[CLASSIC]
 
 
 def test_space_variant_mapping():
