@@ -194,13 +194,54 @@ def test_lifting_above_the_table_cap_fails_before_any_work():
     assert witnesses._statespace.cache_info().misses == spaces
 
 
+# Basic products above the cap that are large enough to count: the
+# antagonistic ones of this game run to hundreds of thousands of positions.
+ABOVE_CAP_BASIC_GAME = generate_random(8, 10, (1, 3), 11)
+
+
 def test_product_above_the_table_cap_agrees_with_zielonka():
     oracle = zielonka(ABOVE_CAP_GAME)
     assert oracle.even and oracle.odd
     for variant in UpdateVariant:
         for kind in UpdateKind:
-            got = solve(ABOVE_CAP_GAME, "product", variant, kind, ABOVE_CAP_E)
+            stats: dict = {}
+            got = solve(ABOVE_CAP_GAME, "product", variant, kind, ABOVE_CAP_E, stats=stats)
             assert got == oracle, (variant, kind)
+            assert stats["product_positions"] == 983, (variant, kind)
+    oracle = zielonka(ABOVE_CAP_BASIC_GAME)
+    positions = {}
+    for variant in UpdateVariant:
+        stats = {}
+        got = solve(ABOVE_CAP_BASIC_GAME, "product", variant, UpdateKind.BASIC, ABOVE_CAP_E, stats=stats)
+        assert got == oracle, variant
+        positions[variant.value] = stats["product_positions"]
+    assert positions == {"classic": 10368, "concise": 4463, "colour": 4455}
+
+
+@pytest.mark.parametrize(
+    "g, e, variants, kind",
+    [
+        (generate_random(30, 6, (1, 3), 2), None, tuple(UpdateVariant), UpdateKind.BASIC),
+        (generate_random(30, 6, (1, 3), 2), None, tuple(UpdateVariant), UpdateKind.ANTAGONISTIC),
+        (ABOVE_CAP_BASIC_GAME, ABOVE_CAP_E, tuple(UpdateVariant), UpdateKind.BASIC),
+        (ABOVE_CAP_GAME, ABOVE_CAP_E, (UpdateVariant.COLOUR,), UpdateKind.ANTAGONISTIC),
+    ],
+    ids=["ranks-basic", "ranks-antagonistic", "interned-basic", "interned-antagonistic"],
+)
+def test_product_cap_admits_exactly_the_product(g, e, variants, kind):
+    # A product of P positions solves under cap=P and fails under cap=P-1,
+    # on statespace ranks (within the table cap) and on interned ids.
+    norm, _ = normalize_colours(g)
+    bounds = bounds_for_game(norm, e)
+    for variant in variants:
+        assert (updates.space_size(bounds, variant) > updates.ANTAGONISTIC_TABLE_CAP) == (e is not None)
+        aut = SepAutomaton(bounds=bounds, variant=variant, kind=kind)
+        stats: dict = {}
+        expected = solve_product(norm, aut, stats=stats)
+        positions = stats["product_positions"]
+        assert solve_product(norm, aut, cap=positions) == expected, variant
+        with pytest.raises(ResourceCapError, match=f"cap of {positions - 1} positions"):
+            solve_product(norm, aut, cap=positions - 1)
 
 
 def test_product_within_the_table_cap_steps_on_statespace_ranks(monkeypatch):
@@ -219,6 +260,13 @@ def test_product_within_the_table_cap_steps_on_statespace_ranks(monkeypatch):
 
 def _product_oracle_games():
     yield game([ODD, EVEN, ODD], [2, 1, 2], [[1, 1], [2, 0], [0, 0]])  # duplicate edges
+    yield game([EVEN, ODD], [1, 2], [[1, 1, 0, 1], [0, 0]])  # duplicate edges
+    yield game([ODD], [2], [[0]])  # one vertex
+    yield game([EVEN], [2], [[0, 0]])  # one vertex, duplicate self-loop
+    yield game([EVEN, ODD, EVEN], [1, 2, 3], [[0, 1], [1, 2], [2, 0]])  # self-loops
+    yield game([ODD, ODD, EVEN], [4, 3, 2], [[0], [1, 2], [2, 1]])  # self-loops
+    yield game([ODD, EVEN, EVEN], [3, 2, 1], [[1, 1, 1], [0, 2], [1]])  # one Odd successor
+    yield game([ODD, EVEN, ODD], [2, 1, 4], [[2, 2], [0, 1], [1]])  # one Odd successor
     for seed in range(40):
         yield generate_random(3 + seed % 6, 2 + seed % 5, (1, 3), 100 + seed)
 
