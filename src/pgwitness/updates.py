@@ -196,8 +196,12 @@ def update_space(bounds: Bounds, variant: UpdateVariant) -> tuple[Witness, ...]:
 
 RankTable = tuple[tuple[Witness, ...], dict[Witness, int], dict[int, list[int]]]
 
+# The per-Bounds caches below keep one Bounds' worth of entries: the
+# statespaces the rule sets run on, or the rule sets themselves.
+_UPDATE_SPACES = frozenset(space_variant_for(v) for v in UpdateVariant)
 
-@lru_cache(maxsize=64)
+
+@lru_cache(maxsize=len(_UPDATE_SPACES))
 def _ranked_space(
     bounds: Bounds, variant: StatespaceVariant
 ) -> tuple[tuple[Witness, ...], dict[Witness, int]]:
@@ -225,7 +229,7 @@ def basic_rank_step(bounds: Bounds, variant: UpdateVariant) -> Callable[[int, in
     return lambda r, d: rank.get(rule(space[r], d, bounds)[0], won)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=len(_UPDATE_SPACES))
 def _block_ends(bounds: Bounds, variant: StatespaceVariant) -> list[int]:
     """``ends[r]``: the rank just past the block of the state of rank ``r``.
 
@@ -257,7 +261,7 @@ def _block_ends(bounds: Bounds, variant: StatespaceVariant) -> list[int]:
     return ends
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=len(UpdateVariant))
 def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     """The antagonistic update over statespace ranks, as ``(space, rank,
     columns)``.

@@ -260,7 +260,9 @@ def enumerate_statespace(
     return list(_statespace(bounds, variant))
 
 
-@lru_cache(maxsize=256)
+# One Bounds' worth: solves read the statespaces of one Bounds at a time,
+# and a statespace can run to hundreds of thousands of tuples.
+@lru_cache(maxsize=len(StatespaceVariant))
 def _statespace(bounds: Bounds, variant: StatespaceVariant) -> tuple[Witness, ...]:
     # Entries are tried in the entry order, most significant position
     # first, so states come out already sorted.

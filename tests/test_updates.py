@@ -351,6 +351,39 @@ def test_statespace_ranks_and_basic_rows_are_cached_per_statespace_and_bounds():
     assert basic_rows(b, CLASSIC) is not rows[CLASSIC]
 
 
+def test_per_bounds_caches_keep_one_bounds_worth():
+    # Eight solves of every configuration, each with its own Bounds.
+    from pgwitness.automata import UpdateKind
+    from pgwitness.games import generate_random
+    from pgwitness.solvers import solve
+
+    g = generate_random(12, 6, (1, 3), 0)
+    caches = {
+        witnesses._statespace: len(StatespaceVariant),
+        updates._ranked_space: 2,
+        updates._block_ends: 2,
+        _antagonistic_table: len(UpdateVariant),
+        _basic_rows: len(UpdateVariant),
+    }
+    for e in range(g.even_vertex_count, g.even_vertex_count + 8):
+        for variant in UpdateVariant:
+            for algo, kind in (("lifting", UpdateKind.ANTAGONISTIC), ("product", UpdateKind.BASIC)):
+                solve(g, algo, variant, kind, e)
+        for cache, worth in caches.items():
+            assert cache.cache_info().maxsize == worth, cache.__name__
+            assert cache.cache_info().currsize <= worth, cache.__name__
+    # The entries kept are the last Bounds' ones.
+    bounds = Bounds(max_colour=6, e=e)
+    misses = {cache: cache.cache_info().misses for cache in caches}
+    for variant in UpdateVariant:
+        space = space_variant_for(variant)
+        for cache in (witnesses._statespace, _ranked_space, updates._block_ends):
+            cache(bounds, space)
+        _antagonistic_table(bounds, variant)
+        _basic_rows(bounds, variant)
+    assert {cache: cache.cache_info().misses for cache in caches} == misses
+
+
 def test_space_variant_mapping():
     assert space_variant_for(CLASSIC) is StatespaceVariant.CLASSIC_VALUE_CAPPED
     assert space_variant_for(CONCISE) is StatespaceVariant.CONCISE
