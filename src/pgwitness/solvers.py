@@ -133,6 +133,16 @@ def solve_product(
     (v, w) feeds the source colour of ``v`` into the automaton.  Even wins
     a vertex iff Even can force the product from (vertex, initial) into a
     position whose automaton state is WON.
+
+    The product is explored and solved on exits.  The exit of a position
+    (v, q) is (v, q2), with q2 the state after reading v's colour in q.
+    Every position with that exit belongs to v's owner and moves to the
+    same positions (w, q2), so the game from each of them is the game
+    from the exit, and each has the exit's winner.  Exits with q2 WON
+    win at once and are not expanded.  Positions are counted, not
+    stored: one vertex set per state collects the successors of every
+    exit into it, WON exits included, and ``stats["product_positions"]``
+    and ``cap`` read the total of their sizes.
     """
     b = automaton.bounds
     for c in game.colours:
@@ -178,66 +188,78 @@ def solve_product(
         won, initial = len(space), rank[automaton.initial]
         take = basic_rank_step(b, variant)  # antagonistic columns are full: basic rows only
 
-    # A product position is numbered in order of discovery and keyed by
-    # q * n + v for vertex v and state q.  Positions 0..n-1 are the start
-    # positions (v, initial).  Positions are expanded in discovery order
-    # (breadth first); WON positions are not expanded.  Exploring records
-    # each edge in its target's predecessor list.
+    # An exit (v, q) is numbered in order of discovery and keyed by
+    # q * n + v; exits 0..n-1 are those of the start positions
+    # (v, initial).  Exits are expanded in discovery order (breadth
+    # first): expanding (v, q) appends it to the predecessor lists of the
+    # exits (w, q2) of its successor positions (w, q).  reached[q] is the
+    # vertex set of the positions (w, q) counted so far.
     n = game.n
     colours = game.colours
     vertex_moves = [moves[d] for d in colours]
-    vertex_of = list(game.vertices())
-    state_of = [initial] * n
-    index = {initial * n + v: v for v in game.vertices()}
-    preds: list[list[int]] = [[] for _ in range(n)]
     game_succ = [tuple(dict.fromkeys(ws)) for ws in game.succ]  # duplicate edges count once
-    for p, (v, q) in enumerate(zip(vertex_of, state_of)):  # the lists grow while this runs
+    succ_mask = [sum(1 << w for w in ws) for ws in game_succ]
+    vertex_of = list(game.vertices())
+    state_of = []
+    for v in vertex_of:
+        row = vertex_moves[v]
+        q2 = row[initial]
+        if q2 < 0:
+            q2 = row[initial] = take(initial, colours[v])
+        state_of.append(q2)
+    index = {q2 * n + v: v for v, q2 in enumerate(state_of)}
+    preds: list[list[int]] = [[] for _ in range(n)]
+    reached = {initial: (1 << n) - 1}
+    positions = n
+    for x, (v, q) in enumerate(zip(vertex_of, state_of)):  # the lists grow while this runs
+        seen = reached.get(q, 0)
+        new = succ_mask[v] & ~seen
+        if new:
+            positions += new.bit_count()
+            if positions > cap:
+                raise ResourceCapError(
+                    f"product exceeds cap of {cap} positions (bounds {b})"
+                )
+            reached[q] = seen | new
         if q == won:
             continue
-        row = vertex_moves[v]
-        q2 = row[q]
-        if q2 < 0:
-            q2 = row[q] = take(q, colours[v])
-        base = q2 * n
         for w in game_succ[v]:
-            pid = index.get(base + w)
-            if pid is None:
-                pid = len(preds)
-                if pid >= cap:
-                    raise ResourceCapError(
-                        f"product exceeds cap of {cap} positions (bounds {b})"
-                    )
-                index[base + w] = pid
+            row = vertex_moves[w]
+            q2 = row[q]
+            if q2 < 0:
+                q2 = row[q] = take(q, colours[w])
+            key = q2 * n + w
+            y = index.get(key)
+            if y is None:
+                index[key] = len(preds)
                 vertex_of.append(w)
                 state_of.append(q2)
-                preds.append([p])
+                preds.append([x])
             else:
-                preds[pid].append(p)
+                preds[y].append(x)
 
-    # Backward induction over the explicit product (successor-closed):
-    # WON positions are winning; Even positions win with one winning
-    # successor, Odd positions once all their successors are winning.
-    n_prod = len(preds)
+    # Backward induction over the exits (successor-closed): WON exits are
+    # winning; Even exits win with one winning successor, Odd exits once
+    # all their successors are winning.
     degree = [len(game_succ[v]) for v in vertex_of]
     winning = [q == won for q in state_of]
-    queue = deque(p for p in range(n_prod) if winning[p])
+    queue = [x for x, won_exit in enumerate(winning) if won_exit]
     even_owned = [o == EVEN for o in game.owners]
-    while queue:
-        t = queue.popleft()
-        for p in preds[t]:
-            if winning[p]:
+    for t in queue:  # the queue grows while this runs
+        for x in preds[t]:
+            if winning[x]:
                 continue
-            if even_owned[vertex_of[p]]:
-                winning[p] = True
-                queue.append(p)
+            if even_owned[vertex_of[x]]:
+                winning[x] = True
+                queue.append(x)
             else:
-                degree[p] -= 1
-                if degree[p] == 0:
-                    winning[p] = True
-                    queue.append(p)
+                degree[x] -= 1
+                if degree[x] == 0:
+                    winning[x] = True
+                    queue.append(x)
     even = frozenset(v for v in game.vertices() if winning[v])
     if stats is not None:
-        stats["product_positions"] = n_prod
+        stats["product_positions"] = positions
     return WinningSets(even=even, odd=frozenset(game.vertices()) - even)
 
 
