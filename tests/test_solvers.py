@@ -212,7 +212,9 @@ def test_product_above_the_table_cap_agrees_with_zielonka():
     positions = {}
     for variant in UpdateVariant:
         stats = {}
-        got = solve(ABOVE_CAP_BASIC_GAME, "product", variant, UpdateKind.BASIC, ABOVE_CAP_E, stats=stats)
+        got = solve(
+            ABOVE_CAP_BASIC_GAME, "product", variant, UpdateKind.BASIC, ABOVE_CAP_E, stats=stats
+        )
         assert got == oracle, variant
         positions[variant.value] = stats["product_positions"]
     assert positions == {"classic": 10368, "concise": 4463, "colour": 4455}
@@ -234,7 +236,8 @@ def test_product_cap_admits_exactly_the_product(g, e, variants, kind):
     norm, _ = normalize_colours(g)
     bounds = bounds_for_game(norm, e)
     for variant in variants:
-        assert (updates.space_size(bounds, variant) > updates.ANTAGONISTIC_TABLE_CAP) == (e is not None)
+        above_cap = updates.space_size(bounds, variant) > updates.ANTAGONISTIC_TABLE_CAP
+        assert above_cap == (e is not None), variant
         aut = SepAutomaton(bounds=bounds, variant=variant, kind=kind)
         stats: dict = {}
         expected = solve_product(norm, aut, stats=stats)

@@ -4,11 +4,14 @@ import pytest
 
 from oracles import antagonistic_reference, basic_columns, suffix_minimum_columns
 from pgwitness import updates, witnesses
+from pgwitness.automata import UpdateKind
 from pgwitness.counting import (
     count_classic_by_value,
     count_concise_by_value,
     count_monotone_seqs,
 )
+from pgwitness.games import generate_random
+from pgwitness.solvers import solve
 from pgwitness.updates import (
     ANTAGONISTIC_TABLE_CAP,
     UpdateVariant,
@@ -353,10 +356,6 @@ def test_statespace_ranks_and_basic_rows_are_cached_per_statespace_and_bounds():
 
 def test_per_bounds_caches_keep_one_bounds_worth():
     # Eight solves of every configuration, each with its own Bounds.
-    from pgwitness.automata import UpdateKind
-    from pgwitness.games import generate_random
-    from pgwitness.solvers import solve
-
     g = generate_random(12, 6, (1, 3), 0)
     caches = {
         witnesses._statespace: len(StatespaceVariant),
