@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Sequence
 
 from .games import ParityGame
-from .updates import UpdateVariant, antagonistic_update, capped_update
-from .witnesses import WON, Bounds, State
+from .updates import UpdateVariant, _raw_rules, antagonistic_update, capped_update
+from .witnesses import WON, Bounds, State, witness_value
 
 
 class UpdateKind(enum.Enum):
@@ -60,6 +61,62 @@ class SepAutomaton:
             if s is WON:
                 return True
         return False
+
+
+StepMemo = tuple[list[State], dict[State, int], dict[int, list[int]], Callable[[int, int], int]]
+
+
+@lru_cache(maxsize=len(UpdateVariant) * len(UpdateKind))
+def step_memo(automaton: SepAutomaton) -> StepMemo:
+    """The automaton's steps on interned state ids, as ``(states,
+    state_id, moves, take)``.
+
+    States get ids on first sight, WON and the initial state first:
+    ``states[q]`` is the state of id ``q`` and ``state_id`` its inverse.
+    ``moves[d][q]`` is the id after reading ``d`` in state ``q``, or -1
+    until the caller stores ``take(q, d)`` there; the rows double in
+    length whenever the ids outgrow them.  Only the states reached are
+    ever built, at every statespace size.  The memo is kept for the last
+    Bounds used, so solves that share Bounds share their steps.
+
+    A basic step is one raw-rule call and one lookup.  An outcome is
+    checked against the budget only the first time it is seen; one above
+    it is then kept as an alias of WON's id, as ``capped_update`` maps it
+    to WON.
+    """
+    b = automaton.bounds
+    states: list[State] = []
+    state_id: dict[State, int] = {}
+    moves: dict[int, list[int]] = {d: [-1] * 64 for d in b.colours}
+
+    def intern(s: State) -> int:
+        q = state_id.get(s)
+        if q is None:
+            q = state_id[s] = len(states)
+            states.append(s)
+            if q == len(moves[b.min_colour]):
+                for row in moves.values():
+                    row.extend([-1] * q)
+        return q
+
+    won = intern(WON)
+    intern(automaton.initial)
+    if automaton.kind is UpdateKind.ANTAGONISTIC:
+
+        def take(q: int, d: int) -> int:
+            return intern(automaton.step(states[q], d))
+
+    else:
+        rule = _raw_rules(automaton.variant)
+
+        def take(q: int, d: int) -> int:
+            out = rule(states[q], d, b)[0]
+            q2 = state_id.get(out)
+            if q2 is None:
+                q2 = state_id[out] = won if witness_value(out) > b.e else intern(out)
+            return q2
+
+    return states, state_id, moves, take
 
 
 def bounds_for_game(game: ParityGame, e: int | None = None) -> Bounds | None:

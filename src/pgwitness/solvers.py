@@ -24,18 +24,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .automata import SepAutomaton, UpdateKind, bounds_for_game
+from .automata import SepAutomaton, UpdateKind, bounds_for_game, step_memo
 from .errors import ResourceCapError
 from .games import EVEN, ODD, ParityGame, generate_random, normalize_colours
-from .updates import (
-    ANTAGONISTIC_TABLE_CAP,
-    UpdateVariant,
-    basic_rank_step,
-    basic_rows,
-    rank_table,
-    space_size,
-)
-from .witnesses import WON, State
+from .updates import ANTAGONISTIC_TABLE_CAP, UpdateVariant, rank_table, space_size
+from .witnesses import WON
 
 
 @dataclass(frozen=True)
@@ -152,41 +145,20 @@ def solve_product(
                 f"{b.min_colour}..{b.max_colour}"
             )
     # Automaton states are small ints, and moves[d][q] is the state after
-    # reading d in state q, or -1 until take(q, d) computes it.  Within the
-    # table cap the states are statespace ranks: antagonistic steps read
-    # the full rank table, basic steps the basic rows, which are shared by
-    # every solve with the same bounds.  Above the cap, where nothing is
-    # enumerated, states are interned as ids on first sight and the rows
-    # double in length whenever the ids outgrow them.
-    variant = automaton.variant
+    # reading d in state q, or -1 until take(q, d) computes it.  Two step
+    # sources: antagonistic steps within the table cap read the rank
+    # table on statespace ranks; every other step goes through the
+    # automaton's memo of interned ids (``step_memo``), which enumerates
+    # nothing and is shared by every solve with the same automaton.
+    table = None
     if automaton.kind is UpdateKind.ANTAGONISTIC:
-        table = rank_table(b, variant)
-    else:
-        table = basic_rows(b, variant)
+        table = rank_table(b, automaton.variant)
     if table is None:
-        state_id: dict[State, int] = {}
-        states: list[State] = []
-        moves: dict[int, list[int]] = {d: [-1] * 64 for d in b.colours}
-
-        def intern(s: State) -> int:
-            q = state_id.get(s)
-            if q is None:
-                q = state_id[s] = len(states)
-                states.append(s)
-                if q == len(moves[b.min_colour]):
-                    for row in moves.values():
-                        row.extend([-1] * q)
-            return q
-
-        def take(q: int, d: int) -> int:
-            return intern(automaton.step(states[q], d))
-
-        won = intern(WON)
-        initial = intern(automaton.initial)
-    else:
+        _, state_id, moves, take = step_memo(automaton)
+        won, initial = state_id[WON], state_id[automaton.initial]
+    else:  # the columns are full, so nothing is ever taken
         space, rank, moves = table
         won, initial = len(space), rank[automaton.initial]
-        take = basic_rank_step(b, variant)  # antagonistic columns are full: basic rows only
 
     # An exit (v, q) is numbered in order of discovery and keyed by
     # q * n + v; exits 0..n-1 are those of the start positions
@@ -375,7 +347,7 @@ def solve(
 # Differential harness
 # ---------------------------------------------------------------------------
 
-DIFF_METHODS: tuple[tuple[str, str, UpdateVariant, UpdateKind | None], ...] = tuple(
+DIFF_METHODS: tuple[tuple[str, str, UpdateVariant, UpdateKind], ...] = tuple(
     [
         ("product_" + v.value + "_" + k.value, "product", v, k)
         for v in UpdateVariant
@@ -413,7 +385,7 @@ def differential(
         agree = True
         for name, algo, variant, kind in DIFF_METHODS:
             st: dict = {}
-            res = solve(game, algo, variant, kind or UpdateKind.BASIC, stats=st)
+            res = solve(game, algo, variant, kind, stats=st)
             row[name + "_even"] = _bitmap(res.even, game.n)
             row[name + "_steps"] = st.get("lifts", st.get("product_positions", 0))
             agree = agree and res == oracle

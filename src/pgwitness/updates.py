@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Callable
 
 from .witnesses import (
     BLANK,
@@ -204,39 +203,16 @@ _UPDATE_SPACES = frozenset(space_variant_for(v) for v in UpdateVariant)
 @lru_cache(maxsize=len(_UPDATE_SPACES))
 def _ranked_space(
     bounds: Bounds, variant: StatespaceVariant
-) -> tuple[tuple[Witness, ...], dict[Witness, int]]:
-    """The sorted statespace and its inverse, ``rank[space[r]] == r``.
+) -> tuple[tuple[Witness, ...], dict[Witness, int], list[int]]:
+    """The sorted statespace, its inverse ``rank[space[r]] == r``, and the
+    block ends.  One entry per statespace: concise and colour rules share
+    theirs.
 
-    One entry per statespace: concise and colour rules share theirs, and
-    the antagonistic table and the basic rows both read it.
-    """
-    space = _statespace(bounds, variant)
-    return space, {c: i for i, c in enumerate(space)}
-
-
-def basic_rank_step(bounds: Bounds, variant: UpdateVariant) -> Callable[[int, int], int]:
-    """The basic update on statespace ranks.
-
-    ``step(r, d)`` is the rank of the capped update of the state of rank
-    ``r`` by colour ``d``, with ``len(space)`` standing for WON.  The
-    outcome is ranked straight from the raw rules: one above the budget
-    is not in the value-capped space and ranks as WON, as its capped form
-    does.  Enumerates the statespace, so callers check the table cap first.
-    """
-    space, rank = _ranked_space(bounds, space_variant_for(variant))
-    won = len(space)
-    rule = _raw_rules(variant)
-    return lambda r, d: rank.get(rule(space[r], d, bounds)[0], won)
-
-
-@lru_cache(maxsize=len(_UPDATE_SPACES))
-def _block_ends(bounds: Bounds, variant: StatespaceVariant) -> list[int]:
-    """``ends[r]``: the rank just past the block of the state of rank ``r``.
-
-    The block of a state is every state that shares its entries above its
-    trailing Blanks.  Blank is the least entry, so a state is the first
-    of its block, and a block is a rank interval.  Blocks nest: the states
-    strictly inside a block split into the blocks of ``r + 1``,
+    ``ends[r]`` is the rank just past the block of the state of rank
+    ``r``.  The block of a state is every state that shares its entries
+    above its trailing Blanks.  Blank is the least entry, so a state is
+    the first of its block, and a block is a rank interval.  Blocks nest:
+    the states strictly inside a block split into the blocks of ``r + 1``,
     ``ends[r + 1]``, and so on.
     """
     space = _statespace(bounds, variant)
@@ -258,7 +234,7 @@ def _block_ends(bounds: Bounds, variant: StatespaceVariant) -> list[int]:
             fixed -= 1
         open_blocks.append((r, fixed))
         prev = w
-    return ends
+    return space, {c: i for i, c in enumerate(space)}, ends
 
 
 @lru_cache(maxsize=len(UpdateVariant))
@@ -273,17 +249,17 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     of the state of rank ``r`` by colour ``d`` (the order is total, so an
     up-set is a rank suffix).  Every column ends with WON's own entry.
 
-    Columns are filled a block at a time (see ``_block_ends``).  The
+    Columns are filled a block at a time (see ``_ranked_space``).  The
     least outcome over a block is the outcome of its first state, as
     ``antagonistic_update_fast`` shows, so ``col[r] = min(out(r),
     col[end])`` for the block ``r..end-1``; when ``out(r)`` is not below
     ``col[end]`` the whole block holds ``col[end]`` and none of its other
-    states is evaluated.  Outcomes are ranked as ``basic_rank_step``
-    ranks them.
+    states is evaluated.  Outcomes are ranked straight from the raw
+    rules: one above the budget is not in the value-capped space and
+    ranks as WON, as its capped form does.
     """
-    space, rank = _ranked_space(bounds, space_variant_for(variant))
+    space, rank, ends = _ranked_space(bounds, space_variant_for(variant))
     won = len(space)
-    ends = _block_ends(bounds, space_variant_for(variant))
     rule = _raw_rules(variant)
     columns: dict[int, list[int]] = {}
     for d in bounds.colours:
@@ -296,7 +272,7 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
             r = todo.pop()
             end = ends[r]
             right = col[end]
-            out = rank.get(rule(space[r], d, bounds)[0], won)  # basic_rank_step, inlined
+            out = rank.get(rule(space[r], d, bounds)[0], won)
             if out >= right:
                 col[r:end] = [right] * (end - r)
                 continue
@@ -330,28 +306,6 @@ def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
     if space_size(bounds, variant) > ANTAGONISTIC_TABLE_CAP:
         return None
     return _antagonistic_table(bounds, variant)
-
-
-@lru_cache(maxsize=len(UpdateVariant))
-def _basic_rows(bounds: Bounds, variant: UpdateVariant) -> RankTable:
-    space, rank = _ranked_space(bounds, space_variant_for(variant))
-    won = len(space)
-    return space, rank, {d: [-1] * won + [won] for d in bounds.colours}
-
-
-def basic_rows(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
-    """The basic update over statespace ranks, as ``(space, rank, rows)``,
-    or None above the table cap.
-
-    ``rows[d][r]`` is ``basic_rank_step``'s outcome for rank ``r`` and
-    colour ``d``, or -1 until a caller first takes that step and stores
-    it; WON's own entry is WON.  The rows are filled on demand, since a
-    product takes only some of the steps, and kept for the last Bounds
-    used, so solves that share Bounds share their steps.
-    """
-    if space_size(bounds, variant) > ANTAGONISTIC_TABLE_CAP:
-        return None
-    return _basic_rows(bounds, variant)
 
 
 def antagonistic_update(

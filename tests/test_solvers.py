@@ -228,11 +228,11 @@ def test_product_above_the_table_cap_agrees_with_zielonka():
         (ABOVE_CAP_BASIC_GAME, ABOVE_CAP_E, tuple(UpdateVariant), UpdateKind.BASIC),
         (ABOVE_CAP_GAME, ABOVE_CAP_E, (UpdateVariant.COLOUR,), UpdateKind.ANTAGONISTIC),
     ],
-    ids=["ranks-basic", "ranks-antagonistic", "interned-basic", "interned-antagonistic"],
+    ids=["basic-within-cap", "ranks-antagonistic", "basic-above-cap", "interned-antagonistic"],
 )
 def test_product_cap_admits_exactly_the_product(g, e, variants, kind):
     # A product of P positions solves under cap=P and fails under cap=P-1,
-    # on statespace ranks (within the table cap) and on interned ids.
+    # within the table cap and above it, for both step sources.
     norm, _ = normalize_colours(g)
     bounds = bounds_for_game(norm, e)
     for variant in variants:
@@ -247,18 +247,29 @@ def test_product_cap_admits_exactly_the_product(g, e, variants, kind):
             solve_product(norm, aut, cap=positions - 1)
 
 
-def test_product_within_the_table_cap_steps_on_statespace_ranks(monkeypatch):
-    # Both update kinds: antagonistic steps read the rank table, basic
-    # steps the basic rows, so no step goes through the tuple updates.
+def test_product_within_the_table_cap_enumerates_only_for_the_rank_table(monkeypatch):
+    # Basic steps go through the step memo, which enumerates nothing;
+    # antagonistic steps read the rank table.  Neither goes through the
+    # tuple updates.  No other test solves with this budget, so its
+    # statespaces are enumerated here first.
     g = generate_random(30, 6, (1, 3), 2)
+    e = g.even_vertex_count + 7
     oracle = zielonka(g)
     stepped = lambda *args: pytest.fail("stepped through a tuple update")  # noqa: E731
     monkeypatch.setattr(SepAutomaton, "step", stepped)
     monkeypatch.setattr(automata, "capped_update", stepped)
     monkeypatch.setattr(updates, "capped_update", stepped)
+
+    def misses():
+        return witnesses._statespace.cache_info().misses, updates._ranked_space.cache_info().misses
+
+    before = misses()
     for variant in UpdateVariant:
-        for kind in UpdateKind:
-            assert solve(g, "product", variant, kind) == oracle, (variant, kind)
+        assert solve(g, "product", variant, UpdateKind.BASIC, e) == oracle, variant
+    assert misses() == before
+    for variant in UpdateVariant:
+        assert solve(g, "product", variant, UpdateKind.ANTAGONISTIC, e) == oracle, variant
+    assert misses() == (before[0] + 2, before[1] + 2)
 
 
 def _product_oracle_games():

@@ -4,24 +4,21 @@ import pytest
 
 from oracles import antagonistic_reference, basic_columns, suffix_minimum_columns
 from pgwitness import updates, witnesses
-from pgwitness.automata import UpdateKind
+from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game, step_memo
 from pgwitness.counting import (
     count_classic_by_value,
     count_concise_by_value,
     count_monotone_seqs,
 )
-from pgwitness.games import generate_random
+from pgwitness.games import generate_random, normalize_colours
 from pgwitness.solvers import solve
 from pgwitness.updates import (
     ANTAGONISTIC_TABLE_CAP,
     UpdateVariant,
     _antagonistic_table,
-    _basic_rows,
     _ranked_space,
     antagonistic_update,
     antagonistic_update_fast,
-    basic_rank_step,
-    basic_rows,
     capped_update,
     raw_update,
     raw_update_with_rule,
@@ -325,33 +322,62 @@ def test_block_filled_table_equals_the_suffix_minimum_oracle(bounds):
 @pytest.mark.parametrize(
     "bounds", [Bounds(8, 77), Bounds(16, 16), Bounds(10, 30, min_colour=2)], ids=str
 )
-def test_basic_rank_steps_equal_the_capped_update(bounds):
+def test_memo_basic_steps_equal_the_capped_update(bounds):
+    # Every state of these statespaces is reached from the initial one,
+    # so closing the memo under every colour steps from each of them.
     for variant in UpdateVariant:
-        step = basic_rank_step(bounds, variant)
-        won = space_size(bounds, variant)
-        steps = {d: [step(r, d) for r in range(won)] + [won] for d in bounds.colours}
-        assert steps == basic_columns(bounds, variant), variant
+        states, state_id, _, take = step_memo(SepAutomaton(bounds, variant))
+        won = state_id[WON]
+        steps = {}
+        q = state_id[bounds.blank_witness()]
+        while q < len(states):
+            for d in bounds.colours:
+                steps[q, d] = take(q, d)
+            q += 1
+        space = update_space(bounds, variant)
+        assert set(states) == set(space) | {WON}, variant
+        # The other keys are raw outcomes above the budget, kept as
+        # aliases of WON's id; a second lookup gives every step again.
+        aliases = [s for s, q in state_id.items() if q == won and s is not WON]
+        assert len(aliases) == len(state_id) - len(states) > 0, variant
+        assert all(witness_value(s) > bounds.e for s in aliases), variant
+        assert {key: take(*key) for key in steps} == steps, variant
+        rank = {s: r for r, s in enumerate(space)}
+        rank[WON] = len(space)
+        got = {
+            d: [rank[states[steps[state_id[s], d]]] for s in space] + [len(space)]
+            for d in bounds.colours
+        }
+        assert got == basic_columns(bounds, variant), variant
 
 
-def test_statespace_ranks_and_basic_rows_are_cached_per_statespace_and_bounds():
+def test_statespace_ranks_and_step_memos_are_cached_per_statespace_and_bounds():
     b, other = Bounds(9, 37), Bounds(9, 38)
-    assert _basic_rows.cache_info().maxsize == len(UpdateVariant)
+    worth = len(UpdateVariant) * len(UpdateKind)
+    assert step_memo.cache_info().maxsize == worth
     ranked = _ranked_space.cache_info().misses
-    rows = {variant: basic_rows(b, variant) for variant in UpdateVariant}
     tables = {variant: rank_table(b, variant) for variant in UpdateVariant}
-    # One (space, rank) pair per statespace: concise and colour share one.
+    # One (space, rank, ends) entry per statespace: concise and colour share one.
     assert _ranked_space.cache_info().misses == ranked + 2
-    assert rows[CONCISE][1] is rows[COLOUR][1] is tables[CONCISE][1] is tables[COLOUR][1]
-    assert rows[CLASSIC][1] is tables[CLASSIC][1]
-    won = space_size(b, CONCISE)
-    assert rows[CONCISE][2] == {d: [-1] * won + [won] for d in b.colours}
-    # Solves that share Bounds share their rows; a new Bounds evicts the
-    # least recently used rows.
-    assert basic_rows(b, CONCISE) is rows[CONCISE]
-    basic_rows(other, CLASSIC)
-    assert _basic_rows.cache_info().currsize == len(UpdateVariant)
-    assert basic_rows(b, CONCISE) is rows[CONCISE]
-    assert basic_rows(b, CLASSIC) is not rows[CLASSIC]
+    assert tables[CONCISE][1] is tables[COLOUR][1] is _ranked_space(b, StatespaceVariant.CONCISE)[1]
+    assert tables[CLASSIC][1] is not tables[CONCISE][1]
+    # Solves that share Bounds share one memo per automaton.
+    g = generate_random(30, 9, (1, 3), 0)
+    h = generate_random(30, 9, (1, 3), 1)
+    for game in (g, h):
+        assert bounds_for_game(normalize_colours(game)[0], 37) == b
+    solve(g, "product", CONCISE, UpdateKind.BASIC, 37)
+    misses = step_memo.cache_info().misses
+    memo = step_memo(SepAutomaton(b, CONCISE))
+    solve(h, "product", CONCISE, UpdateKind.BASIC, 37)
+    assert step_memo.cache_info().misses == misses
+    # A new Bounds evicts the least recently used memos.
+    memos = {(v, k): step_memo(SepAutomaton(b, v, k)) for v in UpdateVariant for k in UpdateKind}
+    step_memo(SepAutomaton(b, CONCISE))
+    step_memo(SepAutomaton(other, CLASSIC))
+    assert step_memo.cache_info().currsize == worth
+    assert step_memo(SepAutomaton(b, CONCISE)) is memo
+    assert step_memo(SepAutomaton(b, CLASSIC)) is not memos[CLASSIC, UpdateKind.BASIC]
 
 
 def test_per_bounds_caches_keep_one_bounds_worth():
@@ -360,9 +386,8 @@ def test_per_bounds_caches_keep_one_bounds_worth():
     caches = {
         witnesses._statespace: len(StatespaceVariant),
         updates._ranked_space: 2,
-        updates._block_ends: 2,
         _antagonistic_table: len(UpdateVariant),
-        _basic_rows: len(UpdateVariant),
+        step_memo: len(UpdateVariant) * len(UpdateKind),
     }
     for e in range(g.even_vertex_count, g.even_vertex_count + 8):
         for variant in UpdateVariant:
@@ -376,10 +401,10 @@ def test_per_bounds_caches_keep_one_bounds_worth():
     misses = {cache: cache.cache_info().misses for cache in caches}
     for variant in UpdateVariant:
         space = space_variant_for(variant)
-        for cache in (witnesses._statespace, _ranked_space, updates._block_ends):
+        for cache in (witnesses._statespace, _ranked_space):
             cache(bounds, space)
         _antagonistic_table(bounds, variant)
-        _basic_rows(bounds, variant)
+        step_memo(SepAutomaton(bounds, variant))
     assert {cache: cache.cache_info().misses for cache in caches} == misses
 
 
