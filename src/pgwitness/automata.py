@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+from .errors import ResourceCapError
 from .games import ParityGame
 from .updates import UpdateVariant, _raw_rules, antagonistic_update, capped_update
 from .witnesses import WON, Bounds, State, witness_value
@@ -63,6 +64,11 @@ class SepAutomaton:
         return False
 
 
+# Antagonistic steps above the table cap take the constructive update,
+# a few thousand per second on the largest statespaces; a memo that would
+# compute more of them fails fast instead.
+CONSTRUCTIVE_STEP_CAP = 10_000
+
 StepMemo = tuple[list[State], dict[State, int], dict[int, list[int]], Callable[[int, int], int]]
 
 
@@ -78,6 +84,10 @@ def step_memo(automaton: SepAutomaton) -> StepMemo:
     length whenever the ids outgrow them.  Only the states reached are
     ever built, at every statespace size.  The memo is kept for the last
     Bounds used, so solves that share Bounds share their steps.
+    Antagonistic steps (the constructive update: only solves above the
+    table cap step here) are computed at most ``CONSTRUCTIVE_STEP_CAP``
+    times per memo; the next one raises ResourceCapError and clears this
+    cache, so no later solve starts from a full memo.
 
     A basic step is one raw-rule call and one lookup.  An outcome is
     checked against the budget only the first time it is seen; one above
@@ -102,8 +112,17 @@ def step_memo(automaton: SepAutomaton) -> StepMemo:
     won = intern(WON)
     intern(automaton.initial)
     if automaton.kind is UpdateKind.ANTAGONISTIC:
+        taken = 0
 
         def take(q: int, d: int) -> int:
+            nonlocal taken
+            if taken >= CONSTRUCTIVE_STEP_CAP:
+                step_memo.cache_clear()
+                raise ResourceCapError(
+                    f"antagonistic product exceeds cap of {CONSTRUCTIVE_STEP_CAP} "
+                    f"constructive steps (bounds {b})"
+                )
+            taken += 1
             return intern(automaton.step(states[q], d))
 
     else:

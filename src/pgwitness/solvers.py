@@ -19,16 +19,17 @@ differential harness.
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .automata import SepAutomaton, UpdateKind, bounds_for_game, step_memo
 from .errors import ResourceCapError
 from .games import EVEN, ODD, ParityGame, generate_random, normalize_colours
 from .updates import ANTAGONISTIC_TABLE_CAP, UpdateVariant, rank_table, space_size
-from .witnesses import WON
+from .witnesses import WON, Bounds
 
 
 @dataclass(frozen=True)
@@ -158,8 +159,38 @@ def solve_product(
         won, initial = state_id[WON], state_id[automaton.initial]
     else:  # the columns are full, so nothing is ever taken
         space, rank, moves = table
-        won, initial = len(space), rank[automaton.initial]
+        won, initial, take = len(space), rank[automaton.initial], None
 
+    # Every exit's predecessor list is a tracked container, so the cyclic
+    # collector would run all through the solve, and each full pass would
+    # walk every cached table too.  Nothing the solve builds forms a
+    # cycle, and its containers are freed when ``_solve_exits`` returns,
+    # before the collector resumes.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        winning, positions = _solve_exits(game, moves, take, won, initial, cap, b)
+    finally:
+        if collecting:
+            gc.enable()
+    even = frozenset(v for v in game.vertices() if winning[v])
+    if stats is not None:
+        stats["product_positions"] = positions
+    return WinningSets(even=even, odd=frozenset(game.vertices()) - even)
+
+
+def _solve_exits(
+    game: ParityGame,
+    moves: dict[int, list[int]],
+    take: Callable[[int, int], int] | None,
+    won: int,
+    initial: int,
+    cap: int,
+    bounds: Bounds,
+) -> tuple[list[bool], int]:
+    """Explore and solve the product on exits (see ``solve_product``):
+    whether each start exit (v, initial) is won, in vertex order, and the
+    number of product positions."""
     # An exit (v, q) is numbered in order of discovery and keyed by
     # q * n + v; exits 0..n-1 are those of the start positions
     # (v, initial).  Exits are expanded in discovery order (breadth
@@ -190,7 +221,7 @@ def solve_product(
             positions += new.bit_count()
             if positions > cap:
                 raise ResourceCapError(
-                    f"product exceeds cap of {cap} positions (bounds {b})"
+                    f"product exceeds cap of {cap} positions (bounds {bounds})"
                 )
             reached[q] = seen | new
         if q == won:
@@ -229,10 +260,7 @@ def solve_product(
                 if degree[x] == 0:
                     winning[x] = True
                     queue.append(x)
-    even = frozenset(v for v in game.vertices() if winning[v])
-    if stats is not None:
-        stats["product_positions"] = positions
-    return WinningSets(even=even, odd=frozenset(game.vertices()) - even)
+    return winning[: game.n], positions
 
 
 def solve_lifting(

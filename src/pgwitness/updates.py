@@ -135,8 +135,11 @@ def _raw_colour(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
 
 
 def _raw_concise(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
+    # A concise input repeats no odd colour, and the classic rules write
+    # at most one entry, d itself: only an odd d written next to its own
+    # earlier occurrence leaves a repeat to blank.
     r, rule = _raw_classic(w, d, bounds)
-    if r is not WON:
+    if d % 2 and r.count(d) > 1:
         r = truncate_odd_repeats(r)
     return r, rule
 
@@ -237,6 +240,46 @@ def _ranked_space(
     return space, {c: i for i, c in enumerate(space)}, ends
 
 
+@lru_cache(maxsize=1)
+def _column_store(bounds: Bounds) -> dict[tuple[UpdateVariant, int], list[int]]:
+    """The antagonistic columns built for ``bounds``, keyed by (rule set,
+    colour); kept for the last Bounds only."""
+    return {}
+
+
+def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
+    """The antagonistic column of colour ``d`` under ``variant``'s rules,
+    built on first use (see ``_antagonistic_table``)."""
+    store = _column_store(bounds)
+    col = store.get((variant, d))
+    if col is not None:
+        return col
+    space, rank, ends = _ranked_space(bounds, space_variant_for(variant))
+    won = len(space)
+    rule = _raw_rules(variant)
+    col = [won] * (won + 1)
+    # The blocks still to fill, as (first state, the entry of the first
+    # state of the block around it, or -1 for the whole space).  Sub-blocks
+    # are pushed left to right, so a block is popped only after everything
+    # to its right is filled, and ``col[end]`` is final when it is read.
+    todo = [(0, -1)]
+    while todo:
+        r, floor = todo.pop()
+        end = ends[r]
+        right = col[end]
+        out = right if floor == right else rank.get(rule(space[r], d, bounds)[0], won)
+        if out >= right:
+            col[r:end] = [right] * (end - r)
+            continue
+        col[r] = out
+        c = r + 1
+        while c < end:
+            todo.append((c, out))
+            c = ends[c]
+    store[variant, d] = col
+    return col
+
+
 @lru_cache(maxsize=len(UpdateVariant))
 def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     """The antagonistic update over statespace ranks, as ``(space, rank,
@@ -254,34 +297,45 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     ``antagonistic_update_fast`` shows, so ``col[r] = min(out(r),
     col[end])`` for the block ``r..end-1``; when ``out(r)`` is not below
     ``col[end]`` the whole block holds ``col[end]`` and none of its other
-    states is evaluated.  Outcomes are ranked straight from the raw
+    states is evaluated.  Columns are suffix minima, so non-decreasing:
+    a sub-block lies between its parent's entry and ``col`` at its own
+    end, and when those two are equal it holds that value throughout,
+    with no rule evaluated.  Outcomes are ranked straight from the raw
     rules: one above the budget is not in the value-capped space and
     ranks as WON, as its capped form does.
+
+    Each column is built once per Bounds and rule set (``_column``), and
+    the COLOUR table reads the CONCISE column, the same list, for every
+    odd colour and for colour 2, because there the two rule sets give
+    the same state on every concise state ``w``.  Concise states have
+    non-increasing entries, repeat no odd colour, never hold colour 1,
+    and hold no odd entry at position 0 (the last index).  For odd ``d``
+    (below the greatest colour; both rule sets reset on that one):
+
+    * if ``d`` is at index ``j``, every entry before ``j`` is above
+      ``d``, and ``j`` is not position 0, so the colour rules write ``d``
+      at ``j`` and give ``w[:j+1] + Blanks``.  Every entry after ``j`` is
+      Blank or below ``d``, so the classic rules write ``d`` at the first
+      non-Blank after ``j`` (or blank it, at position 0), and truncation
+      blanks that repeat of ``d`` again: ``w[:j+1] + Blanks``.  With no
+      non-Blank after ``j`` the classic rules leave ``w``, which is that
+      state already;
+    * otherwise ``d`` is not an entry, so the first entry ``<= d`` is the
+      first entry ``< d``: both rule sets write ``d`` there (or blank
+      position 0), or both leave ``w``, and nothing is repeated.
+
+    For ``d == 2`` no colour 1 lies below ``d``, so the colour rules
+    write 2 at the rightmost index holding Blank or an odd colour, and
+    their raise to 2 changes nothing before it.  That index is the
+    classic overflow slot, and no entry before it is below 2, so the
+    classic overflow writes the same state; with no such index both
+    carry out to WON.
     """
-    space, rank, ends = _ranked_space(bounds, space_variant_for(variant))
-    won = len(space)
-    rule = _raw_rules(variant)
+    space, rank, _ = _ranked_space(bounds, space_variant_for(variant))
     columns: dict[int, list[int]] = {}
     for d in bounds.colours:
-        col = [won] * (won + 1)
-        # First states of the blocks still to fill.  Sub-blocks are pushed
-        # left to right, so a block is popped only after everything to its
-        # right is filled, and ``col[end]`` is final when it is read.
-        todo = [0]
-        while todo:
-            r = todo.pop()
-            end = ends[r]
-            right = col[end]
-            out = rank.get(rule(space[r], d, bounds)[0], won)
-            if out >= right:
-                col[r:end] = [right] * (end - r)
-                continue
-            col[r] = out
-            c = r + 1
-            while c < end:
-                todo.append(c)
-                c = ends[c]
-        columns[d] = col
+        shared = variant is UpdateVariant.COLOUR and (d % 2 or d == 2)
+        columns[d] = _column(bounds, UpdateVariant.CONCISE if shared else variant, d)
     return space, rank, columns
 
 

@@ -301,6 +301,9 @@ def _statespace(bounds: Bounds, variant: StatespaceVariant) -> tuple[Witness, ..
             prefix.pop()
 
     rec(bounds.k, bounds.max_colour + 1, 0, False, frozenset())
+    # ``rec`` refers to itself through its closure; unbound, it frees
+    # ``out`` now instead of at the next full collection.
+    del rec
     return tuple(out)
 
 

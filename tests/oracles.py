@@ -11,7 +11,7 @@ import itertools
 from typing import Sequence
 
 from pgwitness.games import EVEN, ParityGame
-from pgwitness.updates import UpdateVariant, capped_update, update_space
+from pgwitness.updates import UpdateVariant, _raw_classic, capped_update, update_space
 from pgwitness.witnesses import (
     BLANK,
     WON,
@@ -19,6 +19,7 @@ from pgwitness.witnesses import (
     State,
     StatespaceVariant,
     Witness,
+    truncate_odd_repeats,
     witness_value,
 )
 
@@ -126,6 +127,15 @@ def is_valid_state(w: object, bounds: Bounds, variant: StatespaceVariant) -> boo
         if len(odds) != len(set(odds)):
             return False
     return True
+
+
+def raw_concise_reference(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
+    """The concise rules by their definition: the classic rules, then
+    every repeated odd colour blanked, whatever colour was read."""
+    r, rule = _raw_classic(w, d, bounds)
+    if r is not WON:
+        r = truncate_odd_repeats(r)
+    return r, rule
 
 
 def basic_columns(bounds: Bounds, variant: UpdateVariant) -> dict[int, list[int]]:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from pgwitness import automata
 from pgwitness.cli import main
 from pgwitness.games import generate_random, serialize_pgsolver
 
@@ -97,6 +98,20 @@ def test_solve_lifting_above_the_table_cap_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "table cap" in err
+
+
+def test_solve_antagonistic_product_past_the_constructive_step_cap_exits_3(
+    tmp_path, capsys, monkeypatch
+):
+    # The same path as the 10 000-step cap, reached in fewer steps.
+    monkeypatch.setattr(automata, "CONSTRUCTIVE_STEP_CAP", 100)
+    f = tmp_path / "g.gm"
+    f.write_text(serialize_pgsolver(generate_random(8, 10, (1, 3), 11)))
+    argv = ["solve", str(f), "--algo", "product", "--update", "antagonistic", "--e", "484"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "cap of 100 constructive steps" in err
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from conftest import game
@@ -218,6 +220,48 @@ def test_product_above_the_table_cap_agrees_with_zielonka():
         assert got == oracle, variant
         positions[variant.value] = stats["product_positions"]
     assert positions == {"classic": 10368, "concise": 4463, "colour": 4455}
+
+
+def test_product_solve_leaves_the_collector_as_it_found_it():
+    g = generate_random(30, 6, (1, 3), 2)
+    aut = SepAutomaton(bounds_for_game(g), UpdateVariant.CONCISE)
+    assert gc.isenabled()
+    solve_product(g, aut)
+    assert gc.isenabled()
+    with pytest.raises(ResourceCapError):
+        solve_product(g, aut, cap=1)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        solve_product(g, aut)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_antagonistic_products_above_the_table_cap_fail_fast():
+    # Above the table cap every antagonistic step is a constructive update,
+    # computed once per memo.  The pinned products take 981 of them; those
+    # of the seed-11 game run past the memo's cap, which raises and drops
+    # the memo.
+    classic, antagonistic = UpdateVariant.CLASSIC, UpdateKind.ANTAGONISTIC
+    bounds = bounds_for_game(normalize_colours(ABOVE_CAP_GAME)[0], ABOVE_CAP_E)
+    automaton = SepAutomaton(bounds, classic, antagonistic)
+
+    def pinned_product_steps():
+        stats: dict = {}
+        solve(ABOVE_CAP_GAME, "product", classic, antagonistic, ABOVE_CAP_E, stats=stats)
+        assert stats["product_positions"] == 983
+        moves = automata.step_memo(automaton)[2]
+        return sum(q >= 0 for row in moves.values() for q in row)
+
+    assert automata.CONSTRUCTIVE_STEP_CAP == 10_000
+    automata.step_memo.cache_clear()
+    assert pinned_product_steps() == 981
+    with pytest.raises(ResourceCapError, match="cap of 10000 constructive steps"):
+        solve(ABOVE_CAP_BASIC_GAME, "product", classic, antagonistic, ABOVE_CAP_E)
+    assert automata.step_memo.cache_info().currsize == 0
+    assert pinned_product_steps() == 981
 
 
 @pytest.mark.parametrize(

@@ -25,21 +25,36 @@ tracer = Tracer()
 tracer.install(pgwitness)
 game = pgwitness.generate_random(12, 4, (1, 3), 0)
 stats = {{}}
-variant = pgwitness.UpdateVariant.CONCISE
-for algo, kind in (("lifting", "antagonistic"), ("product", "basic")):
-    pgwitness.solve(game, algo, variant, pgwitness.UpdateKind(kind), stats=stats)
-print(json.dumps({{"spans": {{k: v[0] for k, v in tracer.spans.items()}}, "stats": stats}}))
+# Concise lifting, then colour lifting on the same Bounds: the colour
+# table takes the concise table's shared columns.
+for algo, variant, kind in (
+    ("lifting", "concise", "antagonistic"),
+    ("lifting", "colour", "antagonistic"),
+    ("product", "concise", "basic"),
+):
+    pgwitness.solve(
+        game, algo, pgwitness.UpdateVariant(variant), pgwitness.UpdateKind(kind), stats=stats
+    )
+spans = {{k: v[0] for k, v in tracer.spans.items()}}
+bounds = pgwitness.automata.bounds_for_game(pgwitness.normalize_colours(game)[0])
+concise, colour = (
+    pgwitness.updates._antagonistic_table(bounds, pgwitness.UpdateVariant(v))[2]
+    for v in ("concise", "colour")
+)
+shared = [d for d in bounds.colours if colour[d] is concise[d]]
+print(json.dumps({{"spans": spans, "stats": stats, "shared": shared}}))
 """
 
 
-def test_tracer_installs_and_traces_a_lifting_and_a_product_solve():
+def test_tracer_installs_and_traces_lifting_and_product_solves():
     code = CHILD.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout.splitlines()[-1])
-    assert out["spans"]["solvers.lifting"] == 1
+    assert out["spans"]["solvers.lifting"] == 2
     assert out["spans"]["solvers.product"] == 1
-    assert out["spans"]["games.normalize"] == 2
+    assert out["spans"]["games.normalize"] == 3
+    assert out["shared"] == [1, 2, 3]
     assert out["stats"]["lifts"] > 0 and out["stats"]["product_positions"] > 0

@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import antagonistic_reference, basic_columns, suffix_minimum_columns
+from oracles import (
+    antagonistic_reference,
+    basic_columns,
+    raw_concise_reference,
+    suffix_minimum_columns,
+)
 from pgwitness import updates, witnesses
 from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game, step_memo
 from pgwitness.counting import (
@@ -16,7 +21,10 @@ from pgwitness.updates import (
     ANTAGONISTIC_TABLE_CAP,
     UpdateVariant,
     _antagonistic_table,
+    _column_store,
     _ranked_space,
+    _raw_colour,
+    _raw_concise,
     antagonistic_update,
     antagonistic_update_fast,
     capped_update,
@@ -46,6 +54,15 @@ COLOUR = UpdateVariant.COLOUR
 
 B6 = Bounds(max_colour=6, e=12)
 B8 = Bounds(max_colour=8, e=30)
+
+# The bounds of acceptance criterion 4, and those of the benchmark's games.
+SWEEP = [
+    Bounds(max_colour=max_c, e=e, min_colour=min_c)
+    for min_c in (1, 2)
+    for max_c in range(min_c, 7)
+    for e in range(1, 32)
+]
+BENCHMARK_BOUNDS = [Bounds(8, 77), Bounds(8, 24), Bounds(12, 28), Bounds(14, 24), Bounds(16, 16)]
 
 
 def test_classic_local_raise():
@@ -172,6 +189,29 @@ def test_concise_update_is_truncated_classic():
             assert state_key(lhs) >= state_key(rhs)
             if t == w:
                 assert lhs == rhs or lhs is rhs
+
+
+def test_concise_rules_equal_the_always_truncating_reference():
+    # The concise rules truncate only when an odd colour was written next
+    # to its own earlier occurrence; the reference truncates every time.
+    for b in SWEEP:
+        for w in update_space(b, CONCISE):
+            for d in b.colours:
+                assert _raw_concise(w, d, b) == raw_concise_reference(w, d, b), (b, w, d)
+
+
+def test_colour_and_concise_rules_agree_on_odd_colours_and_colour_2():
+    # The lemma behind the columns the colour table shares with the
+    # concise one (see ``updates._antagonistic_table``).
+    differ = 0
+    for b in SWEEP + BENCHMARK_BOUNDS:
+        for w in update_space(b, CONCISE):
+            for d in b.colours:
+                if d % 2 or d == 2:
+                    assert _raw_colour(w, d, b)[0] == _raw_concise(w, d, b)[0], (b, w, d)
+                elif _raw_colour(w, d, b)[0] != _raw_concise(w, d, b)[0]:
+                    differ += 1
+    assert differ > 0
 
 
 def test_update_closure_and_even_stale_unreachable():
@@ -319,6 +359,55 @@ def test_block_filled_table_equals_the_suffix_minimum_oracle(bounds):
         assert columns == suffix_minimum_columns(bounds, variant), variant
 
 
+def test_colour_table_shares_the_concise_columns():
+    b = Bounds(12, 28)
+    colour = _antagonistic_table(b, COLOUR)[2]
+    concise = _antagonistic_table(b, CONCISE)[2]
+    for d in b.colours:
+        if d % 2 or d == 2:
+            assert colour[d] is concise[d], d
+        else:
+            assert colour[d] is not concise[d], d
+
+
+def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
+    ran: dict[str, set[int]] = {"_raw_concise": set(), "_raw_colour": set()}
+    for name in ran:
+        rules = getattr(updates, name)
+
+        def counted(w, d, bounds, seen=ran[name], rules=rules):
+            seen.add(d)
+            return rules(w, d, bounds)
+
+        monkeypatch.setattr(updates, name, counted)
+    g = generate_random(30, 9, (1, 3), 3)
+    e = g.even_vertex_count + 5
+    bounds = Bounds(9, e)
+    assert bounds_for_game(normalize_colours(g)[0], e) == bounds
+    _antagonistic_table.cache_clear()
+    _column_store.cache_clear()
+
+    def rules_run_by(variant):
+        """The colours each rule set was evaluated on by a lifting solve."""
+        for seen in ran.values():
+            seen.clear()
+        solve(g, "lifting", variant, UpdateKind.ANTAGONISTIC, e)
+        return {name: set(seen) for name, seen in ran.items()}
+
+    every = set(bounds.colours)
+    shared = {d for d in every if d % 2 or d == 2}
+    # A colour lifting solve after a concise one runs only the colour
+    # rules, and only for the even colours from 4 up.
+    assert rules_run_by(CONCISE) == {"_raw_concise": every, "_raw_colour": set()}
+    assert rules_run_by(COLOUR) == {"_raw_concise": set(), "_raw_colour": every - shared}
+    # Cold, a colour solve builds the shared columns with the concise
+    # rules and no concise column of an even colour from 4 up.
+    _antagonistic_table.cache_clear()
+    _column_store.cache_clear()
+    assert rules_run_by(COLOUR) == {"_raw_concise": shared, "_raw_colour": every - shared}
+    assert rules_run_by(CONCISE) == {"_raw_concise": every - shared, "_raw_colour": set()}
+
+
 @pytest.mark.parametrize(
     "bounds", [Bounds(8, 77), Bounds(16, 16), Bounds(10, 30, min_colour=2)], ids=str
 )
@@ -387,6 +476,7 @@ def test_per_bounds_caches_keep_one_bounds_worth():
         witnesses._statespace: len(StatespaceVariant),
         updates._ranked_space: 2,
         _antagonistic_table: len(UpdateVariant),
+        _column_store: 1,
         step_memo: len(UpdateVariant) * len(UpdateKind),
     }
     for e in range(g.even_vertex_count, g.even_vertex_count + 8):
@@ -405,7 +495,17 @@ def test_per_bounds_caches_keep_one_bounds_worth():
             cache(bounds, space)
         _antagonistic_table(bounds, variant)
         step_memo(SepAutomaton(bounds, variant))
+    store = _column_store(bounds)
     assert {cache: cache.cache_info().misses for cache in caches} == misses
+    # The column store holds the last Bounds' columns, every colour under
+    # the classic and concise rules and the even ones from 4 up under the
+    # colour rules; a new Bounds evicts them.
+    assert set(store) == {
+        (variant, d) for variant in (CLASSIC, CONCISE) for d in bounds.colours
+    } | {(COLOUR, d) for d in bounds.colours if d % 2 == 0 and d > 2}
+    _antagonistic_table(Bounds(max_colour=6, e=e + 1), CONCISE)
+    assert _column_store.cache_info().currsize == 1
+    assert _column_store(bounds) is not store
 
 
 def test_space_variant_mapping():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +157,15 @@ def test_enumeration_cap_is_enforced():
         enumerate_statespace(b, StatespaceVariant.ORIGINAL_LENGTH, cap=10)
     assert witnesses._statespace.cache_info().misses == misses
     assert len(enumerate_statespace(b, StatespaceVariant.ORIGINAL_LENGTH, cap=size)) == size
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # A cycle would keep an evicted statespace alive until the next full
+    # collection, which the product solver defers.
+    gc.collect()
+    for variant in StatespaceVariant:
+        witnesses._statespace.__wrapped__(Bounds(max_colour=6, e=20), variant)
+    assert gc.collect() == 0
 
 
 def test_is_valid_state_rejects_structural_violations():
