@@ -11,7 +11,8 @@ header followed by one statement per vertex::
 
     <id> <colour> <owner> <succ>(,<succ>)* ["<name>"];
 
-Statements are terminated by ``;``.  Owner 0 is Even, owner 1 is Odd.
+Statements are terminated by ``;``, except inside a quoted name.  Owner 0
+is Even, owner 1 is Odd.
 """
 
 from __future__ import annotations
@@ -78,9 +79,12 @@ class ParityGame:
 
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
+        """``predecessors[w]``: every vertex with an edge to ``w``, once
+        each (a repeated edge lists its source once), ascending."""
         preds: list[list[int]] = [[] for _ in self.vertices()]
-        for v, w in self.edges():
-            preds[w].append(v)
+        for v in self.vertices():
+            for w in dict.fromkeys(self.succ[v]):
+                preds[w].append(v)
         return tuple(tuple(p) for p in preds)
 
     @property
@@ -105,20 +109,24 @@ def parse_pgsolver(text: str) -> ParityGame:
     successor ids, duplicate vertex definitions, or vertices without
     successors.
     """
-    # Split into ';'-terminated statements while tracking line numbers.
+    # Split into ';'-terminated statements while tracking line numbers;
+    # a ';' inside a quoted vertex name belongs to the name.
     statements: list[tuple[int, str]] = []
     buf: list[str] = []
     line = 1
     start_line = 1
+    quoted = False
     for ch in text:
-        if ch == ";":
+        if ch == ";" and not quoted:
             stmt = "".join(buf).strip()
             if stmt:
                 statements.append((start_line, stmt))
             buf = []
             start_line = line
         else:
-            if ch == "\n":
+            if ch == '"':
+                quoted = not quoted
+            elif ch == "\n":
                 line += 1
             if not buf and not ch.strip():
                 start_line = line

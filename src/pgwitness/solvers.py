@@ -191,26 +191,31 @@ def _solve_exits(
     """Explore and solve the product on exits (see ``solve_product``):
     whether each start exit (v, initial) is won, in vertex order, and the
     number of product positions."""
-    # An exit (v, q) is numbered in order of discovery and keyed by
-    # q * n + v; exits 0..n-1 are those of the start positions
+    # An exit (v, q) is numbered in order of discovery, and exit_of[v]
+    # maps q to its number; exits 0..n-1 are those of the start positions
     # (v, initial).  Exits are expanded in discovery order (breadth
     # first): expanding (v, q) appends it to the predecessor lists of the
     # exits (w, q2) of its successor positions (w, q).  reached[q] is the
     # vertex set of the positions (w, q) counted so far.
     n = game.n
     colours = game.colours
-    vertex_moves = [moves[d] for d in colours]
     game_succ = [tuple(dict.fromkeys(ws)) for ws in game.succ]  # duplicate edges count once
     succ_mask = [sum(1 << w for w in ws) for ws in game_succ]
+    exit_of: list[dict[int, int]] = [{} for _ in range(n)]
+    # rows[v]: for each successor w of v, w's moves row (the row of w's
+    # colour; ``take`` extends rows in place) and w's exit map.
+    rows = [
+        [(w, moves[colours[w]], exit_of[w]) for w in ws] for ws in game_succ
+    ]
     vertex_of = list(game.vertices())
     state_of = []
     for v in vertex_of:
-        row = vertex_moves[v]
+        row = moves[colours[v]]
         q2 = row[initial]
         if q2 < 0:
             q2 = row[initial] = take(initial, colours[v])
+        exit_of[v][q2] = v
         state_of.append(q2)
-    index = {q2 * n + v: v for v, q2 in enumerate(state_of)}
     preds: list[list[int]] = [[] for _ in range(n)]
     reached = {initial: (1 << n) - 1}
     positions = n
@@ -226,41 +231,35 @@ def _solve_exits(
             reached[q] = seen | new
         if q == won:
             continue
-        for w in game_succ[v]:
-            row = vertex_moves[w]
+        for w, row, exits in rows[v]:
             q2 = row[q]
             if q2 < 0:
                 q2 = row[q] = take(q, colours[w])
-            key = q2 * n + w
-            y = index.get(key)
+            y = exits.get(q2)
             if y is None:
-                index[key] = len(preds)
+                exits[q2] = len(preds)
                 vertex_of.append(w)
                 state_of.append(q2)
                 preds.append([x])
             else:
                 preds[y].append(x)
 
-    # Backward induction over the exits (successor-closed): WON exits are
-    # winning; Even exits win with one winning successor, Odd exits once
-    # all their successors are winning.
-    degree = [len(game_succ[v]) for v in vertex_of]
-    winning = [q == won for q in state_of]
-    queue = [x for x, won_exit in enumerate(winning) if won_exit]
-    even_owned = [o == EVEN for o in game.owners]
+    # Backward induction over the exits (successor-closed), one countdown
+    # per exit: an exit wins once its countdown reaches 0.  WON exits start
+    # at 0, Even exits at 1 (one winning successor) and Odd exits at their
+    # number of successors (all of them winning).  Every exit is in the
+    # predecessor list of each of its successors once, so an exit joins
+    # the queue once.
+    need = [1 if o == EVEN else len(ws) for o, ws in zip(game.owners, game_succ)]
+    count = [0 if q == won else need[v] for v, q in zip(vertex_of, state_of)]
+    queue = [x for x, c in enumerate(count) if not c]
     for t in queue:  # the queue grows while this runs
         for x in preds[t]:
-            if winning[x]:
-                continue
-            if even_owned[vertex_of[x]]:
-                winning[x] = True
+            c = count[x] - 1
+            count[x] = c
+            if not c:
                 queue.append(x)
-            else:
-                degree[x] -= 1
-                if degree[x] == 0:
-                    winning[x] = True
-                    queue.append(x)
-    return winning[: game.n], positions
+    return [c <= 0 for c in count[:n]], positions
 
 
 def solve_lifting(

@@ -55,52 +55,59 @@ def _check_colour(d: int, bounds: Bounds) -> None:
         )
 
 
+# The rules below scan by index and test an entry for Blank by its truth
+# value: BLANK is 0, so an entry is false exactly when it is Blank.  A
+# rule that changes nothing returns its input tuple itself.
+
+
 def _raw_classic(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
     L = len(w)
-    if d % 2:
+    if d & 1:
         if d == bounds.max_colour:
             return (BLANK,) * L, "reset"
+        stop = L
     else:
         # Overflow slot: the rightmost index holding Blank or an odd
         # colour, so only even colours follow it.  With nothing below d
         # before it, the new fragment there absorbs the completed
         # fragments after it; with no slot at all the chain carries out.
         slot = L - 1
-        while slot >= 0 and w[slot] != BLANK and w[slot] % 2 == 0:
-            slot -= 1
-        if slot < 0:
-            return WON, "carry-out"
-        for x in w[:slot]:
-            if x != BLANK and x < d:
+        while slot >= 0:
+            x = w[slot]
+            if not x or x & 1:
                 break
+            slot -= 1
         else:
-            return w[:slot] + (d,) + (BLANK,) * (L - 1 - slot), "overflow"
+            return WON, "carry-out"
+        stop = slot
 
     # Local: greatest position holding a colour below d restarts with d
-    # (or is cleared entirely at position 0).
-    for idx in range(L):
+    # (or is cleared entirely at position 0).  For even d the scan stops
+    # at the slot: with no such colour before it, d overflows there.
+    for idx in range(stop):
         x = w[idx]
-        if x != BLANK and x < d:
+        if x and x < d:
             pos = L - 1 - idx
             if pos == 0:
                 return w[:idx] + (BLANK,), "local"
             return w[:idx] + (d,) + (BLANK,) * pos, "local"
-    # Stale: every entry is Blank or at least d; nothing changes.
-    return w, "stale"
+    if d & 1:
+        # Stale: every entry is Blank or at least d; nothing changes.
+        return w, "stale"
+    return w[:slot] + (d,) + (BLANK,) * (L - 1 - slot), "overflow"
 
 
 def _raw_colour(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
     L = len(w)
-    if d % 2 and d == bounds.max_colour:
-        return (BLANK,) * L, "reset"
-
-    if d % 2:
+    if d & 1:
+        if d == bounds.max_colour:
+            return (BLANK,) * L, "reset"
         # Greatest position holding a colour <= d restarts with d; above
         # it every entry is strictly larger (or Blank), so the write never
         # duplicates an odd colour.
         for idx in range(L):
             x = w[idx]
-            if x != BLANK and x <= d:
+            if x and x <= d:
                 pos = L - 1 - idx
                 if pos == 0:
                     return w[:idx] + (BLANK,), "odd-local"
@@ -110,27 +117,24 @@ def _raw_colour(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
     # Even d.  If an odd colour below d is present, d releases everything
     # that odd colour was blocking: all entries below d at or above the
     # release point merge into d-fragments, and the collected evidence
-    # restarts at position 0 with colour d.
+    # restarts at position 0 with colour d.  (Blank is even, so ``x & 1``
+    # skips it.)
     for idx in range(L):
         x = w[idx]
-        if x != BLANK and x % 2 and x < d:
-            raised = tuple(
-                (d if (y != BLANK and y < d) else y) for y in w[: idx + 1]
-            )
+        if x & 1 and x < d:
+            raised = tuple([d if y and y < d else y for y in w[: idx + 1]])
             return raised + (BLANK,) * (L - idx - 2) + (d,), "even-release"
 
     # No odd colour below d: the least position holding Blank or an odd
     # colour absorbs the even entries below it into a fragment of colour d;
     # even entries above that are at most d merge into it as well.
-    for j in range(L):
-        idx = L - 1 - j
+    idx = L - 1
+    while idx >= 0:
         x = w[idx]
-        if x == BLANK or x % 2:
-            raised = tuple(
-                (d if (y != BLANK and y % 2 == 0 and y <= d) else y)
-                for y in w[:idx]
-            )
-            return raised + (d,) + (BLANK,) * j, "even-absorb"
+        if not x or x & 1:
+            raised = tuple([d if y and not y & 1 and y <= d else y for y in w[:idx]])
+            return raised + (d,) + (BLANK,) * (L - 1 - idx), "even-absorb"
+        idx -= 1
     return WON, "carry-out"
 
 
@@ -139,7 +143,7 @@ def _raw_concise(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
     # at most one entry, d itself: only an odd d written next to its own
     # earlier occurrence leaves a repeat to blank.
     r, rule = _raw_classic(w, d, bounds)
-    if d % 2 and r.count(d) > 1:
+    if d & 1 and r.count(d) > 1:
         r = truncate_odd_repeats(r)
     return r, rule
 
@@ -267,7 +271,13 @@ def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
         r, floor = todo.pop()
         end = ends[r]
         right = col[end]
-        out = right if floor == right else rank.get(rule(space[r], d, bounds)[0], won)
+        if floor == right:
+            out = right
+        else:
+            # A stale rule returns its input itself, which is of rank r.
+            w = space[r]
+            s = rule(w, d, bounds)[0]
+            out = r if s is w else rank.get(s, won)
         if out >= right:
             col[r:end] = [right] * (end - r)
             continue

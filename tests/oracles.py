@@ -11,7 +11,7 @@ import itertools
 from typing import Sequence
 
 from pgwitness.games import EVEN, ParityGame
-from pgwitness.updates import UpdateVariant, _raw_classic, capped_update, update_space
+from pgwitness.updates import UpdateVariant, capped_update, update_space
 from pgwitness.witnesses import (
     BLANK,
     WON,
@@ -129,10 +129,91 @@ def is_valid_state(w: object, bounds: Bounds, variant: StatespaceVariant) -> boo
     return True
 
 
+def raw_classic_reference(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
+    """The classic rules, written plainly: ``(new state, rule name)``."""
+    L = len(w)
+    if d % 2:
+        if d == bounds.max_colour:
+            return (BLANK,) * L, "reset"
+    else:
+        # Overflow slot: the rightmost index holding Blank or an odd
+        # colour, so only even colours follow it.  With nothing below d
+        # before it, the new fragment there absorbs the completed
+        # fragments after it; with no slot at all the chain carries out.
+        slot = L - 1
+        while slot >= 0 and w[slot] != BLANK and w[slot] % 2 == 0:
+            slot -= 1
+        if slot < 0:
+            return WON, "carry-out"
+        for x in w[:slot]:
+            if x != BLANK and x < d:
+                break
+        else:
+            return w[:slot] + (d,) + (BLANK,) * (L - 1 - slot), "overflow"
+
+    # Local: greatest position holding a colour below d restarts with d
+    # (or is cleared entirely at position 0).
+    for idx in range(L):
+        x = w[idx]
+        if x != BLANK and x < d:
+            pos = L - 1 - idx
+            if pos == 0:
+                return w[:idx] + (BLANK,), "local"
+            return w[:idx] + (d,) + (BLANK,) * pos, "local"
+    # Stale: every entry is Blank or at least d; nothing changes.
+    return w, "stale"
+
+
+def raw_colour_reference(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
+    """The colour rules, written plainly: ``(new state, rule name)``."""
+    L = len(w)
+    if d % 2 and d == bounds.max_colour:
+        return (BLANK,) * L, "reset"
+
+    if d % 2:
+        # Greatest position holding a colour <= d restarts with d; above
+        # it every entry is strictly larger (or Blank), so the write never
+        # duplicates an odd colour.
+        for idx in range(L):
+            x = w[idx]
+            if x != BLANK and x <= d:
+                pos = L - 1 - idx
+                if pos == 0:
+                    return w[:idx] + (BLANK,), "odd-local"
+                return w[:idx] + (d,) + (BLANK,) * pos, "odd-local"
+        return w, "odd-stale"
+
+    # Even d.  If an odd colour below d is present, d releases everything
+    # that odd colour was blocking: all entries below d at or above the
+    # release point merge into d-fragments, and the collected evidence
+    # restarts at position 0 with colour d.
+    for idx in range(L):
+        x = w[idx]
+        if x != BLANK and x % 2 and x < d:
+            raised = tuple(
+                (d if (y != BLANK and y < d) else y) for y in w[: idx + 1]
+            )
+            return raised + (BLANK,) * (L - idx - 2) + (d,), "even-release"
+
+    # No odd colour below d: the least position holding Blank or an odd
+    # colour absorbs the even entries below it into a fragment of colour d;
+    # even entries above that are at most d merge into it as well.
+    for j in range(L):
+        idx = L - 1 - j
+        x = w[idx]
+        if x == BLANK or x % 2:
+            raised = tuple(
+                (d if (y != BLANK and y % 2 == 0 and y <= d) else y)
+                for y in w[:idx]
+            )
+            return raised + (d,) + (BLANK,) * j, "even-absorb"
+    return WON, "carry-out"
+
+
 def raw_concise_reference(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
     """The concise rules by their definition: the classic rules, then
     every repeated odd colour blanked, whatever colour was read."""
-    r, rule = _raw_classic(w, d, bounds)
+    r, rule = raw_classic_reference(w, d, bounds)
     if r is not WON:
         r = truncate_odd_repeats(r)
     return r, rule

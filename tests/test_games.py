@@ -77,6 +77,16 @@ def test_serialize_is_canonical_and_round_trips():
     assert by_id(again) == by_id(g)
 
 
+def test_quoted_name_may_hold_a_semicolon():
+    g = parse_pgsolver('0 1 0 0 "a;b";\n1 2 1 0,1 "c";')
+    assert g.names == ("a;b", "c")
+    text = serialize_pgsolver(g)
+    assert '"a;b";' in text
+    again = parse_pgsolver(text)
+    assert again.names == g.names and again.succ == g.succ
+    assert serialize_pgsolver(again) == text
+
+
 @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_round_trip_random_games(n, max_colour, seed):
@@ -103,6 +113,11 @@ def test_predecessors_mirror_successors():
     for w in g.vertices():
         for v in g.predecessors[w]:
             assert w in g.succ[v]
+
+
+def test_predecessors_list_a_repeated_edge_once():
+    g = game([0, 1, 1], [1, 2, 1], [[1, 1, 2], [1, 0, 1], [2]])
+    assert g.predecessors == ((1,), (0, 1), (0, 2))
 
 
 def test_normalize_colours_examples():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
@@ -62,6 +63,12 @@ def test_attractor_duplicate_successors_count_once():
     assert attractor(g, {1}, EVEN) == {0, 1}
 
 
+def test_attractor_repeated_edge_into_target_counts_once():
+    # v0 (Odd) reaches the target v1 twice but can still escape to v2.
+    g = game([ODD, EVEN, ODD], [1, 2, 1], [[1, 1, 2], [1], [2]])
+    assert attractor(g, {1}, EVEN) == {1}
+
+
 # ---------------------------------------------------------------------------
 # zielonka against the brute-force oracle
 # ---------------------------------------------------------------------------
@@ -94,6 +101,24 @@ def test_zielonka_matches_brute_force_on_random_games():
         got = zielonka(g)
         assert got.even == expected, f"seed {seed}"
         assert got.odd == ALL_VERTICES(g) - expected
+
+
+def _game_with_repeated_successors(seed: int):
+    """A small random game whose successor lists are drawn with
+    replacement, so most of them repeat a vertex."""
+    rng = random.Random(seed)
+    n = 3 + seed % 4
+    return game(
+        [rng.randrange(2) for _ in range(n)],
+        [rng.randint(1, 5) for _ in range(n)],
+        [rng.choices(range(n), k=rng.randint(2, 3)) for _ in range(n)],
+    )
+
+
+def test_zielonka_matches_brute_force_with_repeated_successors():
+    for seed in range(150):
+        g = _game_with_repeated_successors(seed)
+        assert zielonka(g).even == brute_force_even_region(g), f"seed {seed}"
 
 
 def test_zielonka_records_call_count():

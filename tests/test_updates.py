@@ -5,6 +5,8 @@ import pytest
 from oracles import (
     antagonistic_reference,
     basic_columns,
+    raw_classic_reference,
+    raw_colour_reference,
     raw_concise_reference,
     suffix_minimum_columns,
 )
@@ -23,6 +25,7 @@ from pgwitness.updates import (
     _antagonistic_table,
     _column_store,
     _ranked_space,
+    _raw_classic,
     _raw_colour,
     _raw_concise,
     antagonistic_update,
@@ -194,10 +197,23 @@ def test_concise_update_is_truncated_classic():
 def test_concise_rules_equal_the_always_truncating_reference():
     # The concise rules truncate only when an odd colour was written next
     # to its own earlier occurrence; the reference truncates every time.
-    for b in SWEEP:
+    for b in SWEEP + BENCHMARK_BOUNDS:
         for w in update_space(b, CONCISE):
             for d in b.colours:
                 assert _raw_concise(w, d, b) == raw_concise_reference(w, d, b), (b, w, d)
+
+
+@pytest.mark.parametrize(
+    "rules, reference, variant",
+    [(_raw_classic, raw_classic_reference, CLASSIC), (_raw_colour, raw_colour_reference, COLOUR)],
+    ids=["classic", "colour"],
+)
+def test_rules_equal_the_plainly_written_reference(rules, reference, variant):
+    # Same state and same rule name on every state and colour.
+    for b in SWEEP + BENCHMARK_BOUNDS:
+        for w in update_space(b, variant):
+            for d in b.colours:
+                assert rules(w, d, b) == reference(w, d, b), (b, w, d)
 
 
 def test_colour_and_concise_rules_agree_on_odd_colours_and_colour_2():
