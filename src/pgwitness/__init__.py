@@ -59,8 +59,6 @@ from .updates import (
     antagonistic_update,
     antagonistic_update_fast,
     capped_update,
-    raw_update,
-    raw_update_with_rule,
 )
 from .witnesses import (
     BLANK,
@@ -120,8 +118,6 @@ __all__ = [
     "parse_pgsolver",
     "play_word",
     "random_play",
-    "raw_update",
-    "raw_update_with_rule",
     "serialize_pgsolver",
     "solve",
     "solve_lifting",

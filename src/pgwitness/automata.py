@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import ResourceCapError
 from .games import ParityGame
-from .updates import UpdateVariant, _raw_rules, antagonistic_update, capped_update
+from .updates import UpdateVariant, _kernels, antagonistic_update, capped_update
 from .witnesses import WON, Bounds, State, witness_value
 
 
@@ -89,7 +89,7 @@ def step_memo(automaton: SepAutomaton) -> StepMemo:
     times per memo; the next one raises ResourceCapError and clears this
     cache, so no later solve starts from a full memo.
 
-    A basic step is one raw-rule call and one lookup.  An outcome is
+    A basic step is one kernel call and one lookup.  An outcome is
     checked against the budget only the first time it is seen; one above
     it is then kept as an alias of WON's id, as ``capped_update`` maps it
     to WON.
@@ -126,10 +126,10 @@ def step_memo(automaton: SepAutomaton) -> StepMemo:
             return intern(automaton.step(states[q], d))
 
     else:
-        rule = _raw_rules(automaton.variant)
+        kernels = _kernels(b, automaton.variant)
 
         def take(q: int, d: int) -> int:
-            out = rule(states[q], d, b)[0]
+            out = kernels[d](states[q])
             q2 = state_id.get(out)
             if q2 is None:
                 q2 = state_id[out] = won if witness_value(out) > b.e else intern(out)

@@ -102,6 +102,34 @@ class ParityGame:
         return sum(1 for c in self.colours if c % 2 == 0)
 
 
+def _statements(text: str) -> list[tuple[int, str]]:
+    """The ';'-terminated statements of ``text``, stripped, each with the
+    line of its first character; a ';' inside a quoted vertex name
+    belongs to the name.  Raises GameParseError for text after the last
+    statement."""
+    statements: list[tuple[int, str]] = []
+    line = 1
+    counted = 0  # ``line`` is the line of offset ``counted``
+    start = pos = 0  # the statement being read starts at ``start``
+    while True:
+        end = text.find(";", pos)
+        if end >= 0 and text.count('"', start, end) & 1:
+            pos = end + 1  # inside a quoted name
+            continue
+        raw = text[start:] if end < 0 else text[start:end]
+        stmt = raw.strip()
+        if stmt:
+            first = start + len(raw) - len(raw.lstrip())
+            line += text.count("\n", counted, first)
+            counted = first
+            if end < 0:
+                raise GameParseError("statement not terminated by ';'", line)
+            statements.append((line, stmt))
+        if end < 0:
+            return statements
+        start = pos = end + 1
+
+
 def parse_pgsolver(text: str) -> ParityGame:
     """Parse a PGSolver-format game description.
 
@@ -109,33 +137,7 @@ def parse_pgsolver(text: str) -> ParityGame:
     successor ids, duplicate vertex definitions, or vertices without
     successors.
     """
-    # Split into ';'-terminated statements while tracking line numbers;
-    # a ';' inside a quoted vertex name belongs to the name.
-    statements: list[tuple[int, str]] = []
-    buf: list[str] = []
-    line = 1
-    start_line = 1
-    quoted = False
-    for ch in text:
-        if ch == ";" and not quoted:
-            stmt = "".join(buf).strip()
-            if stmt:
-                statements.append((start_line, stmt))
-            buf = []
-            start_line = line
-        else:
-            if ch == '"':
-                quoted = not quoted
-            elif ch == "\n":
-                line += 1
-            if not buf and not ch.strip():
-                start_line = line
-                continue
-            buf.append(ch)
-    trailing = "".join(buf).strip()
-    if trailing:
-        raise GameParseError("statement not terminated by ';'", start_line)
-
+    statements = _statements(text)
     if not statements:
         raise GameParseError("empty game description", 1)
 

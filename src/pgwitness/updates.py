@@ -7,17 +7,19 @@ blanks repeated odd colours, operating on the concise statespace.  COLOUR
 operates on the concise statespace directly with rules that merge all
 fragments of the colours an even colour dominates.
 
-Each rule set has a *basic* form (``raw_update`` / ``capped_update``,
-deterministic) and an *antagonistic* form (the least possible outcome,
-in the witness order, over every state at least as good as the current
-one).  The antagonistic form is monotone in its state argument, which the
-basic form is not; monotonicity is what value iteration needs.
+Each rule set has a *basic* form (``capped_update``, deterministic; its
+raw rules run as one kernel per colour, see ``_kernels``) and an
+*antagonistic* form (the least possible outcome, in the witness order,
+over every state at least as good as the current one).  The
+antagonistic form is monotone in its state argument, which the basic
+form is not; monotonicity is what value iteration needs.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from typing import Callable
 
 from .witnesses import (
     BLANK,
@@ -31,7 +33,6 @@ from .witnesses import (
     state_key,
     statespace_size,
     witness_value,
-    truncate_odd_repeats,
 )
 
 
@@ -55,22 +56,52 @@ def _check_colour(d: int, bounds: Bounds) -> None:
         )
 
 
-# The rules below scan by index and test an entry for Blank by its truth
-# value: BLANK is 0, so an entry is false exactly when it is Blank.  A
-# rule that changes nothing returns its input tuple itself.
+# ---------------------------------------------------------------------------
+# Rule kernels
+# ---------------------------------------------------------------------------
+#
+# A kernel applies one rule set's raw rules for one colour to a witness.
+# Everything that depends on the colour and the length alone is decided
+# when the kernel is built: the colour's parity, whether it is the
+# greatest (odd) colour, and the tails written after the rewritten index.
+# Kernels scan by index and test an entry for Blank by its truth value
+# (BLANK is 0).  A kernel that changes nothing returns its input tuple
+# itself.  The input must be a state of the rule set's statespace; the
+# output is not value-capped (see ``capped_update``).
+
+Kernel = Callable[[Witness], State]
 
 
-def _raw_classic(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
-    L = len(w)
+def _tails(d: int, L: int) -> tuple[Witness, ...]:
+    """``tails[i]``: what a rule writes from index ``i`` on, colour ``d``
+    and then Blanks.  An odd colour is never written at position 0 (the
+    last index): that entry is cleared instead."""
+    tails = [(d,) + (BLANK,) * (L - 1 - i) for i in range(L)]
     if d & 1:
-        if d == bounds.max_colour:
-            return (BLANK,) * L, "reset"
-        stop = L
-    else:
+        tails[-1] = (BLANK,)
+    return tuple(tails)
+
+
+def _classic_kernel(d: int, L: int) -> Kernel:
+    tails = _tails(d, L)
+    if d & 1:
+        # Local: the greatest position holding a colour below d restarts
+        # with d.
+
+        def odd(w: Witness) -> State:
+            for i in range(L):
+                x = w[i]
+                if x and x < d:
+                    return w[:i] + tails[i]
+            return w  # stale: every entry is Blank or at least d
+
+        return odd
+
+    def even(w: Witness) -> State:
         # Overflow slot: the rightmost index holding Blank or an odd
-        # colour, so only even colours follow it.  With nothing below d
-        # before it, the new fragment there absorbs the completed
-        # fragments after it; with no slot at all the chain carries out.
+        # colour, so only even colours follow it.  With no colour below d
+        # before it (no local write), the new fragment there absorbs the
+        # completed fragments after it; with no slot the chain carries out.
         slot = L - 1
         while slot >= 0:
             x = w[slot]
@@ -78,116 +109,137 @@ def _raw_classic(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
                 break
             slot -= 1
         else:
-            return WON, "carry-out"
-        stop = slot
+            return WON
+        if d > 2:  # no entry is below 2
+            for i in range(slot):
+                x = w[i]
+                if x and x < d:
+                    return w[:i] + tails[i]
+        return w[:slot] + tails[slot]
 
-    # Local: greatest position holding a colour below d restarts with d
-    # (or is cleared entirely at position 0).  For even d the scan stops
-    # at the slot: with no such colour before it, d overflows there.
-    for idx in range(stop):
-        x = w[idx]
-        if x and x < d:
-            pos = L - 1 - idx
-            if pos == 0:
-                return w[:idx] + (BLANK,), "local"
-            return w[:idx] + (d,) + (BLANK,) * pos, "local"
+    return even
+
+
+def _concise_kernel(d: int, L: int) -> Kernel:
+    # The classic rules, then odd repeats blanked.  A concise input repeats
+    # no odd colour and the classic rules write at most one entry, d
+    # itself, so only an odd d written after its own earlier occurrence
+    # leaves a repeat: that write becomes Blank.  Entries do not increase,
+    # so d occurs before the written index exactly when it occurs at all.
+    if not d & 1:
+        return _classic_kernel(d, L)
+    tails = _tails(d, L)
+    cuts = tuple((BLANK,) * (L - i) for i in range(L))
+
+    def odd(w: Witness) -> State:
+        for i in range(L):
+            x = w[i]
+            if x and x < d:
+                return w[:i] + (cuts[i] if d in w else tails[i])
+        return w
+
+    return odd
+
+
+def _colour_kernel(d: int, L: int) -> Kernel:
+    tails = _tails(d, L)
     if d & 1:
-        # Stale: every entry is Blank or at least d; nothing changes.
-        return w, "stale"
-    return w[:slot] + (d,) + (BLANK,) * (L - 1 - slot), "overflow"
-
-
-def _raw_colour(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
-    L = len(w)
-    if d & 1:
-        if d == bounds.max_colour:
-            return (BLANK,) * L, "reset"
-        # Greatest position holding a colour <= d restarts with d; above
-        # it every entry is strictly larger (or Blank), so the write never
+        # The greatest position holding a colour <= d restarts with d;
+        # above it every entry is larger (or Blank), so the write never
         # duplicates an odd colour.
-        for idx in range(L):
-            x = w[idx]
-            if x and x <= d:
-                pos = L - 1 - idx
-                if pos == 0:
-                    return w[:idx] + (BLANK,), "odd-local"
-                return w[:idx] + (d,) + (BLANK,) * pos, "odd-local"
-        return w, "odd-stale"
 
-    # Even d.  If an odd colour below d is present, d releases everything
-    # that odd colour was blocking: all entries below d at or above the
-    # release point merge into d-fragments, and the collected evidence
-    # restarts at position 0 with colour d.  (Blank is even, so ``x & 1``
-    # skips it.)
-    for idx in range(L):
-        x = w[idx]
-        if x & 1 and x < d:
-            raised = tuple([d if y and y < d else y for y in w[: idx + 1]])
-            return raised + (BLANK,) * (L - idx - 2) + (d,), "even-release"
+        def odd(w: Witness) -> State:
+            for i in range(L):
+                x = w[i]
+                if x and x <= d:
+                    return w[:i] + tails[i]
+            return w
 
-    # No odd colour below d: the least position holding Blank or an odd
-    # colour absorbs the even entries below it into a fragment of colour d;
-    # even entries above that are at most d merge into it as well.
-    idx = L - 1
-    while idx >= 0:
-        x = w[idx]
-        if not x or x & 1:
-            raised = tuple([d if y and not y & 1 and y <= d else y for y in w[:idx]])
-            return raised + (d,) + (BLANK,) * (L - 1 - idx), "even-absorb"
-        idx -= 1
-    return WON, "carry-out"
+        return odd
 
+    # After an odd colour below d at index i is released, the evidence
+    # restarts at position 0 with colour d.
+    released = tuple((BLANK,) * (L - i - 2) + (d,) for i in range(L))
 
-def _raw_concise(w: Witness, d: int, bounds: Bounds) -> tuple[State, str]:
-    # A concise input repeats no odd colour, and the classic rules write
-    # at most one entry, d itself: only an odd d written next to its own
-    # earlier occurrence leaves a repeat to blank.
-    r, rule = _raw_classic(w, d, bounds)
-    if d & 1 and r.count(d) > 1:
-        r = truncate_odd_repeats(r)
-    return r, rule
+    def even(w: Witness) -> State:
+        # An odd colour below d releases everything it was blocking: all
+        # entries below d up to it merge into d-fragments.  (Blank is
+        # even, so ``x & 1`` skips it.)
+        for i in range(L):
+            x = w[i]
+            if x & 1 and x < d:
+                return tuple([d if y and y < d else y for y in w[: i + 1]]) + released[i]
+        # No odd colour below d: the least position holding Blank or an
+        # odd colour absorbs the even entries below it into a fragment of
+        # colour d; even entries above it that are at most d merge too.
+        i = L - 1
+        while i >= 0:
+            x = w[i]
+            if not x or x & 1:
+                return tuple([d if y and not y & 1 and y <= d else y for y in w[:i]]) + tails[i]
+            i -= 1
+        return WON
+
+    return even
 
 
-def _raw_rules(variant: UpdateVariant):
-    """The raw rule set of a variant: (witness, colour, bounds) -> (state, rule)."""
-    if variant is UpdateVariant.CLASSIC:
-        return _raw_classic
-    if variant is UpdateVariant.CONCISE:
-        return _raw_concise
-    return _raw_colour
+_KERNEL_MAKERS = {
+    UpdateVariant.CLASSIC: _classic_kernel,
+    UpdateVariant.CONCISE: _concise_kernel,
+    UpdateVariant.COLOUR: _colour_kernel,
+}
 
 
-def raw_update_with_rule(
-    w: Witness, d: int, bounds: Bounds, variant: UpdateVariant
-) -> tuple[State, str]:
-    """Apply one colour to a witness; also name the rule that fired.
-
-    The input must be a structurally valid state of the rule set's
-    statespace; the colour must lie in the bounds' colour range.  The
-    result is not value-capped (see ``capped_update``).
-    """
-    _check_colour(d, bounds)
-    return _raw_rules(variant)(w, d, bounds)
+def _unchanged(w: Witness) -> State:
+    return w
 
 
-def raw_update(w: Witness, d: int, bounds: Bounds, variant: UpdateVariant) -> State:
-    return raw_update_with_rule(w, d, bounds, variant)[0]
+@lru_cache(maxsize=len(UpdateVariant))
+def _kernels(bounds: Bounds, variant: UpdateVariant) -> dict[int, Kernel]:
+    """``variant``'s raw rules for ``bounds``, one kernel per colour:
+    ``kernels[d](w)`` is the state after reading ``d`` in ``w``.  Kept for
+    the last Bounds only; callers fetch them once per column, memo or
+    constructive call, as hashing a Bounds is not free.
+
+    Every rule set resets on the greatest colour when it is odd.  No
+    state holds colour 1 (see ``Bounds.statespace_entries``), so no rule
+    set changes a state on colour 1 (``_unchanged``), and the classic
+    rules never write colour 2 locally."""
+    L = bounds.length
+    make = _KERNEL_MAKERS[variant]
+    reset = bounds.blank_witness()
+    kernels: dict[int, Kernel] = {}
+    for d in bounds.colours:
+        if d & 1 and d == bounds.max_colour:
+            kernels[d] = lambda w: reset
+        elif d == 1:
+            kernels[d] = _unchanged
+        else:
+            kernels[d] = make(d, L)
+    return kernels
+
+
+def _capped(kernel: Kernel, s: Witness, e: int) -> State:
+    r = kernel(s)
+    if r is WON or witness_value(r) > e:
+        return WON
+    return r
 
 
 def capped_update(s: State, d: int, bounds: Bounds, variant: UpdateVariant) -> State:
     """The basic update: raw rules, with values beyond ``e`` collapsing to WON.
 
-    WON is absorbing.
+    WON is absorbing.  Any other ``s`` must be a state of the rule set's
+    statespace for ``bounds``; the colour must lie in its colour range.
+    The kernels are built for the bounds' state length, so a state of
+    another length raises ValueError.
     """
+    _check_colour(d, bounds)
     if s is WON:
-        _check_colour(d, bounds)
         return WON
-    r = raw_update(s, d, bounds, variant)
-    if r is WON:
-        return WON
-    if witness_value(r) > bounds.e:
-        return WON
-    return r
+    if len(s) != bounds.length:
+        raise ValueError(f"state {s} has {len(s)} entries, not the {bounds.length} of {bounds}")
+    return _capped(_kernels(bounds, variant)[d], s, bounds.e)
 
 
 # ---------------------------------------------------------------------------
@@ -212,36 +264,10 @@ def _ranked_space(
     bounds: Bounds, variant: StatespaceVariant
 ) -> tuple[tuple[Witness, ...], dict[Witness, int], list[int]]:
     """The sorted statespace, its inverse ``rank[space[r]] == r``, and the
-    block ends.  One entry per statespace: concise and colour rules share
-    theirs.
-
-    ``ends[r]`` is the rank just past the block of the state of rank
-    ``r``.  The block of a state is every state that shares its entries
-    above its trailing Blanks.  Blank is the least entry, so a state is
-    the first of its block, and a block is a rank interval.  Blocks nest:
-    the states strictly inside a block split into the blocks of ``r + 1``,
-    ``ends[r + 1]``, and so on.
-    """
+    block ends the enumeration recorded (see ``Statespace``).  One entry
+    per statespace: concise and colour rules share theirs."""
     space = _statespace(bounds, variant)
-    ends = [len(space)] * len(space)
-    open_blocks: list[tuple[int, int]] = []  # (rank, entries above its trailing Blanks)
-    prev: Witness = ()
-    for r, w in enumerate(space):
-        # The first index where w leaves the previous state: every open
-        # block fixing more entries than that ends here.
-        common = 0
-        for x, y in zip(prev, w):
-            if x != y:
-                break
-            common += 1
-        while open_blocks and open_blocks[-1][1] > common:
-            ends[open_blocks.pop()[0]] = r
-        fixed = len(w)
-        while fixed and w[fixed - 1] == BLANK:
-            fixed -= 1
-        open_blocks.append((r, fixed))
-        prev = w
-    return space, {c: i for i, c in enumerate(space)}, ends
+    return space, {c: i for i, c in enumerate(space)}, space.ends.tolist()
 
 
 @lru_cache(maxsize=1)
@@ -260,7 +286,12 @@ def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
         return col
     space, rank, ends = _ranked_space(bounds, space_variant_for(variant))
     won = len(space)
-    rule = _raw_rules(variant)
+    kernel = _kernels(bounds, variant)[d]
+    if kernel is _unchanged:
+        # Every state's outcome is itself, so the suffix minima are the
+        # ranks: the rank dict's own int objects, in rank order.
+        col = store[variant, d] = [*rank.values(), won]
+        return col
     col = [won] * (won + 1)
     # The blocks still to fill, as (first state, the entry of the first
     # state of the block around it, or -1 for the whole space).  Sub-blocks
@@ -276,7 +307,7 @@ def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
         else:
             # A stale rule returns its input itself, which is of rank r.
             w = space[r]
-            s = rule(w, d, bounds)[0]
+            s = kernel(w)
             out = r if s is w else rank.get(s, won)
         if out >= right:
             col[r:end] = [right] * (end - r)
@@ -302,7 +333,7 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     of the state of rank ``r`` by colour ``d`` (the order is total, so an
     up-set is a rank suffix).  Every column ends with WON's own entry.
 
-    Columns are filled a block at a time (see ``_ranked_space``).  The
+    Columns are filled a block at a time (see ``witnesses.Statespace``).  The
     least outcome over a block is the outcome of its first state, as
     ``antagonistic_update_fast`` shows, so ``col[r] = min(out(r),
     col[end])`` for the block ``r..end-1``; when ``out(r)`` is not below
@@ -416,7 +447,9 @@ def antagonistic_update_fast(
     alphabet = bounds.statespace_entries(space_variant)
     concise = space_variant is StatespaceVariant.CONCISE
 
-    best: State = capped_update(s, d, bounds, variant)
+    kernel = _kernels(bounds, variant)[d]
+    e = bounds.e
+    best: State = _capped(kernel, s, e)
     best_key = state_key(best)
 
     for idx in range(L):  # idx 0 = most significant, position L-1-idx
@@ -439,9 +472,9 @@ def antagonistic_update_fast(
             if concise and x % 2 and head_odds is not None and x in head_odds:
                 continue
             c = head + (x,) + (BLANK,) * pos
-            if witness_value(c) > bounds.e:
+            if witness_value(c) > e:
                 continue
-            r = capped_update(c, d, bounds, variant)
+            r = _capped(kernel, c, e)
             rk = state_key(r)
             if rk < best_key:
                 best, best_key = r, rk

@@ -21,6 +21,7 @@ greater than every witness.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -260,51 +261,96 @@ def enumerate_statespace(
     return list(_statespace(bounds, variant))
 
 
+class Statespace(tuple):
+    """A sorted statespace, with the block end of every state.
+
+    ``ends[r]`` is the rank just past the block of the state of rank
+    ``r``.  The block of a state is every state that shares its entries
+    above its trailing Blanks.  Blank is the least entry, so a state is
+    the first of its block, and a block is a rank interval.  Blocks nest:
+    the states strictly inside a block split into the blocks of ``r + 1``,
+    ``ends[r + 1]``, and so on.  ``ends`` is an array of C ints, four
+    bytes a state.
+    """
+
+    ends: array
+
+
 # One Bounds' worth: solves read the statespaces of one Bounds at a time,
 # and a statespace can run to hundreds of thousands of tuples.
 @lru_cache(maxsize=len(StatespaceVariant))
-def _statespace(bounds: Bounds, variant: StatespaceVariant) -> tuple[Witness, ...]:
+def _statespace(bounds: Bounds, variant: StatespaceVariant) -> Statespace:
     # Entries are tried in the entry order, most significant position
-    # first, so states come out already sorted.
-    entries = [BLANK, *sorted(bounds.statespace_entries(variant), key=entry_key)]
+    # first, so states come out already sorted.  Choosing a non-Blank
+    # entry opens a block, whose first state is that choice followed by
+    # Blanks, and the block closes when the choice's branch returns.  A
+    # state at which no block opens is its own block, and the all-Blank
+    # first state's block is the whole space.
+    entries = sorted(bounds.statespace_entries(variant), key=entry_key)
     capped = variant is not StatespaceVariant.ORIGINAL_LENGTH
     concise = variant is StatespaceVariant.CONCISE
+    e = bounds.e
+    top = bounds.max_colour + 1
+    # The non-Blank entries allowed after the entry ``last``, and the
+    # last position's choices, as 1-tuples.
+    choices = {last: [x for x in entries if x <= last] for last in (top, *entries)}
+    leaves = {
+        last: [(BLANK,)] + [(x,) for x in xs if not (capped and x & 1)]
+        for last, xs in choices.items()
+    }
+    blank = (BLANK,)
+    blank_leaf = [blank]
     out: list[Witness] = []
-    prefix: list[int] = []
+    ends = array("i", range(1, statespace_size(bounds, variant) + 1))
 
-    def rec(pos: int, last: int, value: int, seen_odd: bool, used_odds: frozenset[int]):
-        if pos < 0:
-            out.append(tuple(prefix))
-            return
-        for x in entries:
-            if x != BLANK:
-                if x > last:
-                    continue
-                if capped and pos == 0 and x % 2:
-                    continue
-                if concise and x % 2 and x in used_odds:
-                    continue
-            new_value = value
-            new_seen = seen_odd
-            new_used = used_odds
-            if x != BLANK:
-                if capped and not seen_odd:
-                    new_value = value + (1 << pos)
-                    if new_value > bounds.e:
+    def rec(
+        pos: int, head: Witness, last: int, value: int, seen_odd: bool, used_odds: frozenset[int]
+    ) -> None:
+        # The entry at ``pos`` >= 1: Blank, then each entry up to ``last``.
+        # At position 1 a choice's branch is the states of position 0,
+        # emitted here with no call.  Below the budget (value < e, or an
+        # odd entry above) position 0 may hold a non-Blank entry.
+        h = head + blank
+        if pos > 1:
+            rec(pos - 1, h, last, value, seen_odd, used_odds)
+        else:
+            out.extend([h + t for t in (leaves[last] if seen_odd or value < e else blank_leaf)])
+        if capped and not seen_odd:
+            value += 1 << pos
+            if value > e:
+                return  # no non-Blank entry fits at pos
+        for x in choices[last]:
+            seen, used = seen_odd, used_odds
+            if x & 1:
+                if concise:
+                    if x in used_odds:
                         continue
-                if x % 2:
-                    new_seen = True
-                    if concise:
-                        new_used = used_odds | {x}
-            prefix.append(x)
-            rec(pos - 1, x if x != BLANK else last, new_value, new_seen, new_used)
-            prefix.pop()
+                    used = used_odds | {x}
+                seen = True
+            start = len(out)
+            h = head + (x,)
+            if pos > 1:
+                rec(pos - 1, h, x, value, seen, used)
+            else:
+                out.extend([h + t for t in (leaves[x] if seen or value < e else blank_leaf)])
+            ends[start] = len(out)
 
-    rec(bounds.k, bounds.max_colour + 1, 0, False, frozenset())
+    if bounds.k:
+        rec(bounds.k, (), top, 0, False, frozenset())
+    else:
+        out.extend(leaves[top])
     # ``rec`` refers to itself through its closure; unbound, it frees
     # ``out`` now instead of at the next full collection.
     del rec
-    return tuple(out)
+    ends[0] = len(out)
+    # ``Statespace(x)`` makes a plain tuple of ``x`` (``x`` itself when it
+    # is one) and copies that: with the list freed first, at most two
+    # copies of the state pointers are alive at once.
+    states = tuple(out)
+    del out
+    space = Statespace(states)
+    space.ends = ends
+    return space
 
 
 # ---------------------------------------------------------------------------

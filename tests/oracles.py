@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+from pgwitness.errors import GameParseError
 from pgwitness.games import EVEN, ParityGame
 from pgwitness.updates import UpdateVariant, capped_update, update_space
 from pgwitness.witnesses import (
@@ -65,6 +66,37 @@ def brute_force_even_region(game: ParityGame) -> frozenset[int]:
                 break
         winning |= good
     return frozenset(winning)
+
+
+def statements_by_characters(text: str) -> list[tuple[int, str]]:
+    """The ';'-terminated statements of a PGSolver text, each with the line
+    of its first character, found by walking the text one character at a
+    time; a ';' inside a quoted vertex name belongs to the name.  Raises
+    GameParseError for text after the last statement."""
+    statements: list[tuple[int, str]] = []
+    buf: list[str] = []
+    line = 1
+    start_line = 1
+    quoted = False
+    for ch in text:
+        if ch == ";" and not quoted:
+            stmt = "".join(buf).strip()
+            if stmt:
+                statements.append((start_line, stmt))
+            buf = []
+            start_line = line
+        else:
+            if ch == '"':
+                quoted = not quoted
+            elif ch == "\n":
+                line += 1
+            if not buf and not ch.strip():
+                start_line = line
+                continue
+            buf.append(ch)
+    if "".join(buf).strip():
+        raise GameParseError("statement not terminated by ';'", start_line)
+    return statements
 
 
 def longest_even_chain_by_subsets(colours: Sequence[int]) -> int:
@@ -217,6 +249,53 @@ def raw_concise_reference(w: Witness, d: int, bounds: Bounds) -> tuple[State, st
     if r is not WON:
         r = truncate_odd_repeats(r)
     return r, rule
+
+
+REFERENCE_RULES = {
+    UpdateVariant.CLASSIC: raw_classic_reference,
+    UpdateVariant.CONCISE: raw_concise_reference,
+    UpdateVariant.COLOUR: raw_colour_reference,
+}
+
+
+def raw_update_with_rule(
+    w: Witness, d: int, bounds: Bounds, variant: UpdateVariant
+) -> tuple[State, str]:
+    """Apply one colour to a witness by the reference rules; also name the
+    rule that fired.  The colour must lie in the bounds' colour range.
+    The result is not value-capped."""
+    if not bounds.min_colour <= d <= bounds.max_colour:
+        raise ValueError(f"colour {d} outside {bounds.min_colour}..{bounds.max_colour}")
+    return REFERENCE_RULES[variant](w, d, bounds)
+
+
+def raw_update(w: Witness, d: int, bounds: Bounds, variant: UpdateVariant) -> State:
+    return raw_update_with_rule(w, d, bounds, variant)[0]
+
+
+def block_ends_by_neighbours(space: Sequence[Witness]) -> list[int]:
+    """``ends[r]``: the rank just past the block of ``space[r]`` (every
+    state sharing its entries above its trailing Blanks), found by
+    comparing each state with the one before it."""
+    ends = [len(space)] * len(space)
+    open_blocks: list[tuple[int, int]] = []  # (rank, entries above its trailing Blanks)
+    prev: Witness = ()
+    for r, w in enumerate(space):
+        # The first index where w leaves the previous state: every open
+        # block fixing more entries than that ends here.
+        common = 0
+        for x, y in zip(prev, w):
+            if x != y:
+                break
+            common += 1
+        while open_blocks and open_blocks[-1][1] > common:
+            ends[open_blocks.pop()[0]] = r
+        fixed = len(w)
+        while fixed and w[fixed - 1] == BLANK:
+            fixed -= 1
+        open_blocks.append((r, fixed))
+        prev = w
+    return ends
 
 
 def basic_columns(bounds: Bounds, variant: UpdateVariant) -> dict[int, list[int]]:

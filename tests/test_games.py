@@ -11,6 +11,7 @@ from pgwitness.games import (
     EVEN,
     ODD,
     ParityGame,
+    _statements,
     generate_random,
     longest_even_chain,
     normalize_colours,
@@ -85,6 +86,37 @@ def test_quoted_name_may_hold_a_semicolon():
     again = parse_pgsolver(text)
     assert again.names == g.names and again.succ == g.succ
     assert serialize_pgsolver(again) == text
+
+
+def _split(splitter, text):
+    """The statements, or the message and line of the error raised."""
+    try:
+        return splitter(text)
+    except GameParseError as exc:
+        return str(exc), exc.line
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '0 1 0 0 "a;b";\n1 2 1 0,1 "c;";',
+        '  0 1 0 0 "a;\nb" ;\n\n\n1 2 1 0 "x";\n',
+        "parity 1;\r\n0 2 0 1;\r\n\r\n1 1 1 0;\r\n",
+        "parity 1;\n0 2 0 1;\n1 1 1 0",
+        '0 1 0 0 "a;b";\n\n  1 2 1 0 "c;',
+        ";;\n ; \n0 1 0 0;\n\t\n",
+        "",
+        SAMPLE,
+    ],
+)
+def test_statement_splitter_equals_the_character_walk(text):
+    assert _split(_statements, text) == _split(oracles.statements_by_characters, text)
+
+
+@given(st.text(alphabet='0 1;"\n\r\t\x0b\x1c\x85\xa0a,', max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_statement_splitter_equals_the_character_walk_on_any_text(text):
+    assert _split(_statements, text) == _split(oracles.statements_by_characters, text)
 
 
 @given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 10**6))

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import oracles
 from oracles import (
     antagonistic_reference,
     basic_columns,
+    block_ends_by_neighbours,
     raw_classic_reference,
     raw_colour_reference,
     raw_concise_reference,
@@ -24,15 +28,11 @@ from pgwitness.updates import (
     UpdateVariant,
     _antagonistic_table,
     _column_store,
+    _kernels,
     _ranked_space,
-    _raw_classic,
-    _raw_colour,
-    _raw_concise,
     antagonistic_update,
     antagonistic_update_fast,
     capped_update,
-    raw_update,
-    raw_update_with_rule,
     rank_table,
     space_size,
     space_variant_for,
@@ -66,6 +66,28 @@ SWEEP = [
     for e in range(1, 32)
 ]
 BENCHMARK_BOUNDS = [Bounds(8, 77), Bounds(8, 24), Bounds(12, 28), Bounds(14, 24), Bounds(16, 16)]
+
+
+def kernel_state(w, d, b, variant):
+    """The package kernel's state.  Kernels are built for the length of
+    their Bounds' states, and the raw rules read nothing else of the
+    budget, so the kernel is taken from Bounds whose budget gives ``w``'s
+    length."""
+    return _kernels(dataclasses.replace(b, e=1 << (len(w) - 1)), variant)[d](w)
+
+
+def raw_update_with_rule(w, d, b, variant):
+    """The state and rule name of the reference rules; the package
+    kernel must give the same state."""
+    state, rule = oracles.raw_update_with_rule(w, d, b, variant)
+    assert kernel_state(w, d, b, variant) == state, (b, w, d, variant)
+    return state, rule
+
+
+def raw_update(w, d, b, variant):
+    state = oracles.raw_update(w, d, b, variant)
+    assert kernel_state(w, d, b, variant) == state, (b, w, d, variant)
+    return state
 
 
 def test_classic_local_raise():
@@ -178,6 +200,12 @@ def test_capped_update_validates_colour_and_absorbs_won():
     assert capped_update(WON, 3, B6, CLASSIC) is WON
 
 
+def test_capped_update_rejects_a_state_of_another_length():
+    for w in [(B, B), (4, B, B, B, B)]:
+        with pytest.raises(ValueError, match="entries"):
+            capped_update(w, 3, B6, CLASSIC)
+
+
 def test_concise_update_is_truncated_classic():
     b = Bounds(max_colour=6, e=14)
     space = enumerate_statespace(b, StatespaceVariant.CLASSIC_VALUE_CAPPED)
@@ -194,26 +222,25 @@ def test_concise_update_is_truncated_classic():
                 assert lhs == rhs or lhs is rhs
 
 
-def test_concise_rules_equal_the_always_truncating_reference():
-    # The concise rules truncate only when an odd colour was written next
-    # to its own earlier occurrence; the reference truncates every time.
-    for b in SWEEP + BENCHMARK_BOUNDS:
-        for w in update_space(b, CONCISE):
-            for d in b.colours:
-                assert _raw_concise(w, d, b) == raw_concise_reference(w, d, b), (b, w, d)
-
-
 @pytest.mark.parametrize(
-    "rules, reference, variant",
-    [(_raw_classic, raw_classic_reference, CLASSIC), (_raw_colour, raw_colour_reference, COLOUR)],
-    ids=["classic", "colour"],
+    "reference, variant",
+    [
+        (raw_classic_reference, CLASSIC),
+        # The concise kernels blank an odd colour only where it was
+        # written next to its own earlier occurrence; the reference
+        # truncates every outcome.
+        (raw_concise_reference, CONCISE),
+        (raw_colour_reference, COLOUR),
+    ],
+    ids=["classic", "concise", "colour"],
 )
-def test_rules_equal_the_plainly_written_reference(rules, reference, variant):
-    # Same state and same rule name on every state and colour.
+def test_kernels_equal_the_plainly_written_reference(reference, variant):
+    # The same state on every state and colour.
     for b in SWEEP + BENCHMARK_BOUNDS:
+        kernels = _kernels(b, variant)
         for w in update_space(b, variant):
             for d in b.colours:
-                assert rules(w, d, b) == reference(w, d, b), (b, w, d)
+                assert kernels[d](w) == reference(w, d, b)[0], (b, w, d)
 
 
 def test_colour_and_concise_rules_agree_on_odd_colours_and_colour_2():
@@ -221,13 +248,21 @@ def test_colour_and_concise_rules_agree_on_odd_colours_and_colour_2():
     # concise one (see ``updates._antagonistic_table``).
     differ = 0
     for b in SWEEP + BENCHMARK_BOUNDS:
+        colour, concise = _kernels(b, COLOUR), _kernels(b, CONCISE)
         for w in update_space(b, CONCISE):
             for d in b.colours:
                 if d % 2 or d == 2:
-                    assert _raw_colour(w, d, b)[0] == _raw_concise(w, d, b)[0], (b, w, d)
-                elif _raw_colour(w, d, b)[0] != _raw_concise(w, d, b)[0]:
+                    assert colour[d](w) == concise[d](w), (b, w, d)
+                elif colour[d](w) != concise[d](w):
                     differ += 1
     assert differ > 0
+
+
+def test_enumeration_records_the_block_ends_of_the_neighbour_comparison():
+    for b in SWEEP + BENCHMARK_BOUNDS:
+        for variant in StatespaceVariant:
+            space = witnesses._statespace(b, variant)
+            assert list(space.ends) == block_ends_by_neighbours(space), (b, variant)
 
 
 def test_update_closure_and_even_stale_unreachable():
@@ -387,15 +422,20 @@ def test_colour_table_shares_the_concise_columns():
 
 
 def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
-    ran: dict[str, set[int]] = {"_raw_concise": set(), "_raw_colour": set()}
-    for name in ran:
-        rules = getattr(updates, name)
+    ran: dict[UpdateVariant, set[int]] = {CONCISE: set(), COLOUR: set()}
 
-        def counted(w, d, bounds, seen=ran[name], rules=rules):
-            seen.add(d)
-            return rules(w, d, bounds)
+    def counted(bounds, variant):
+        # The kernels themselves, recording each colour a column fetches.
+        seen = ran[variant]
 
-        monkeypatch.setattr(updates, name, counted)
+        class Kernels(dict):
+            def __getitem__(self, d):
+                seen.add(d)
+                return super().__getitem__(d)
+
+        return Kernels(_kernels(bounds, variant))
+
+    monkeypatch.setattr(updates, "_kernels", counted)
     g = generate_random(30, 9, (1, 3), 3)
     e = g.even_vertex_count + 5
     bounds = Bounds(9, e)
@@ -404,7 +444,8 @@ def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
     _column_store.cache_clear()
 
     def rules_run_by(variant):
-        """The colours each rule set was evaluated on by a lifting solve."""
+        """The colours whose columns each rule set's kernels built in a
+        lifting solve."""
         for seen in ran.values():
             seen.clear()
         solve(g, "lifting", variant, UpdateKind.ANTAGONISTIC, e)
@@ -414,14 +455,14 @@ def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
     shared = {d for d in every if d % 2 or d == 2}
     # A colour lifting solve after a concise one runs only the colour
     # rules, and only for the even colours from 4 up.
-    assert rules_run_by(CONCISE) == {"_raw_concise": every, "_raw_colour": set()}
-    assert rules_run_by(COLOUR) == {"_raw_concise": set(), "_raw_colour": every - shared}
+    assert rules_run_by(CONCISE) == {CONCISE: every, COLOUR: set()}
+    assert rules_run_by(COLOUR) == {CONCISE: set(), COLOUR: every - shared}
     # Cold, a colour solve builds the shared columns with the concise
     # rules and no concise column of an even colour from 4 up.
     _antagonistic_table.cache_clear()
     _column_store.cache_clear()
-    assert rules_run_by(COLOUR) == {"_raw_concise": shared, "_raw_colour": every - shared}
-    assert rules_run_by(CONCISE) == {"_raw_concise": every - shared, "_raw_colour": set()}
+    assert rules_run_by(COLOUR) == {CONCISE: shared, COLOUR: every - shared}
+    assert rules_run_by(CONCISE) == {CONCISE: every - shared, COLOUR: set()}
 
 
 @pytest.mark.parametrize(
@@ -493,6 +534,7 @@ def test_per_bounds_caches_keep_one_bounds_worth():
         updates._ranked_space: 2,
         _antagonistic_table: len(UpdateVariant),
         _column_store: 1,
+        _kernels: len(UpdateVariant),
         step_memo: len(UpdateVariant) * len(UpdateKind),
     }
     for e in range(g.even_vertex_count, g.even_vertex_count + 8):
@@ -510,6 +552,7 @@ def test_per_bounds_caches_keep_one_bounds_worth():
         for cache in (witnesses._statespace, _ranked_space):
             cache(bounds, space)
         _antagonistic_table(bounds, variant)
+        _kernels(bounds, variant)
         step_memo(SepAutomaton(bounds, variant))
     store = _column_store(bounds)
     assert {cache: cache.cache_info().misses for cache in caches} == misses
