@@ -12,7 +12,7 @@ recursive statespace sizes for comparing the three families.
 
 from __future__ import annotations
 
-from .automata import SepAutomaton, UpdateKind, bounds_for_game, play_word
+from .automata import SepAutomaton, UpdateKind, bounds_for_game
 from .counting import (
     count_bitword_measures,
     count_concise_by_length,
@@ -21,7 +21,6 @@ from .counting import (
     count_evenweight_by_length_value,
     count_monotone_seqs,
     count_odd_once,
-    half_budget_identity,
     statespace_totals,
     table_fixed_colours,
     table_linear_colours,
@@ -39,10 +38,8 @@ from .games import (
     ODD,
     ParityGame,
     generate_random,
-    longest_even_chain,
     normalize_colours,
     parse_pgsolver,
-    random_play,
     serialize_pgsolver,
 )
 from .solvers import (
@@ -67,12 +64,8 @@ from .witnesses import (
     StatespaceVariant,
     entry_key,
     enumerate_statespace,
-    is_classic_witness,
-    is_colour_witness,
     state_key,
     state_str,
-    truncate_odd_repeats,
-    witness_cmp,
     witness_value,
 )
 
@@ -110,14 +103,8 @@ __all__ = [
     "entry_key",
     "enumerate_statespace",
     "generate_random",
-    "half_budget_identity",
-    "is_classic_witness",
-    "is_colour_witness",
-    "longest_even_chain",
     "normalize_colours",
     "parse_pgsolver",
-    "play_word",
-    "random_play",
     "serialize_pgsolver",
     "solve",
     "solve_lifting",
@@ -129,8 +116,6 @@ __all__ = [
     "table_linear_colours",
     "total_bitword_measures",
     "total_monotone_seqs",
-    "truncate_odd_repeats",
-    "witness_cmp",
     "witness_value",
     "zielonka",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import ResourceCapError
 from .games import ParityGame
@@ -162,8 +162,3 @@ def bounds_for_game(game: ParityGame, e: int | None = None) -> Bounds | None:
         return None
     min_colour = 1 if cmin == 1 else 2
     return Bounds(max_colour=max(cmax, min_colour), e=e, min_colour=min_colour)
-
-
-def play_word(game: ParityGame, play: Sequence[int]) -> list[int]:
-    """Colour sequence of a play prefix (the word the automaton reads)."""
-    return [game.colours[v] for v in play]

@@ -19,10 +19,11 @@ from typing import Sequence
 from . import counting
 from .automata import SepAutomaton, UpdateKind
 from .errors import GameParseError, InternalInvariantError, ResourceCapError
-from .games import ParityGame, generate_random, parse_pgsolver, serialize_pgsolver
-from .solvers import differential, differential_csv, solve
+from .games import generate_random, parse_pgsolver, serialize_pgsolver
+from .solvers import differential, solve
 from .updates import UpdateVariant
 from .witnesses import (
+    DEFAULT_SPACE_CAP,
     WON,
     Bounds,
     StatespaceVariant,
@@ -52,6 +53,18 @@ def _parse_colours(text: str) -> list[int]:
     if any(c < 1 for c in word):
         raise ValueError("colours must be >= 1")
     return word
+
+
+def rows_csv(rows: Sequence[dict]) -> str:
+    """Render rows as CSV, columns in the first row's key order; no rows
+    give no text."""
+    if not rows:
+        return ""
+    cols = list(rows[0].keys())
+    lines = [",".join(cols)]
+    for row in rows:
+        lines.append(",".join(str(row[c]) for c in cols))
+    return "\n".join(lines) + "\n"
 
 
 def _variant(name: str) -> UpdateVariant:
@@ -130,8 +143,8 @@ def cmd_count(args: argparse.Namespace) -> int:
         raise ValueError("need either --table or both --c and --n-range")
     else:
         lo, hi = _parse_range(args.n_range)
-        rows = counting._table_rows(tuple((n, args.c) for n in range(lo, hi + 1)), 10**3)
-    sys.stdout.write(counting.table_csv(rows))
+        rows = counting.table_rows(tuple((n, args.c) for n in range(lo, hi + 1)), 10**3)
+    sys.stdout.write(rows_csv(rows))
     return 0
 
 
@@ -146,7 +159,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     lo, hi = _parse_range(args.seeds)
     deg = _parse_range(args.deg)
     rows = differential(range(lo, hi + 1), args.n, args.max_colour, deg)
-    sys.stdout.write(differential_csv(rows))
+    sys.stdout.write(rows_csv(rows))
     bad = [row["seed"] for row in rows if not row["agree"]]
     if bad:
         raise InternalInvariantError(
@@ -191,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-colour", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--min-colour", type=int, choices=[1, 2], default=1)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_SPACE_CAP)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .errors import InternalInvariantError
-
 
 def _check(cond: bool, msg: str) -> None:
     if not cond:
@@ -145,19 +143,6 @@ def count_concise_by_length_value(ec: int, l: int, v: int) -> int:
         count_concise_by_length_value(2 * i, l - 1, half - 1)
         for i in range(1, ec // 2 + 1)
     )
-
-
-def half_budget_identity(ec: int, l: int) -> int:
-    """The count at value budget ``2^(l-1)`` predicted from the
-    length-bounded count: half of it plus ``ec/2``.  The division must be
-    exact; a remainder would mean the counts are off."""
-    _check(l >= 2, "identity needs l >= 2")
-    total = count_concise_by_length(ec, l)
-    if total % 2:
-        raise InternalInvariantError(
-            f"count_concise_by_length({ec}, {l}) = {total} is odd"
-        )
-    return total // 2 + ec // 2
 
 
 @lru_cache(maxsize=None)
@@ -285,16 +270,18 @@ LINEAR_COLOUR_ROWS: tuple[tuple[int, int], ...] = tuple(
 def table_fixed_colours() -> list[dict]:
     """Statespace sizes for growing games at (nearly) constant colour
     count; scaled column unit: thousands, rounded down."""
-    return _table_rows(FIXED_COLOUR_ROWS, 10**3)
+    return table_rows(FIXED_COLOUR_ROWS, 10**3)
 
 
 def table_linear_colours() -> list[dict]:
     """Statespace sizes for games whose colour count grows with the game;
     scaled column unit: millions, rounded down."""
-    return _table_rows(LINEAR_COLOUR_ROWS, 10**6)
+    return table_rows(LINEAR_COLOUR_ROWS, 10**6)
 
 
-def _table_rows(cells: tuple[tuple[int, int], ...], divisor: int) -> list[dict]:
+def table_rows(cells: tuple[tuple[int, int], ...], divisor: int) -> list[dict]:
+    """One row of exact totals per ``(n, c)`` cell, with the scaled
+    columns divided by ``divisor`` and rounded down."""
     rows = []
     for n, c in cells:
         old, jl, new = statespace_totals(n, c)
@@ -312,11 +299,3 @@ def _table_rows(cells: tuple[tuple[int, int], ...], divisor: int) -> list[dict]:
             }
         )
     return rows
-
-
-def table_csv(rows: list[dict]) -> str:
-    cols = ["n", "c", "old_exact", "jl_exact", "new_exact", "old_k", "jl_k", "new_k", "new_over_jl"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row[k]) for k in cols))
-    return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import GameParseError
 
@@ -296,47 +296,3 @@ def generate_random(
         deg = rng.randint(lo, min(hi, n))
         succ.append(tuple(sorted(rng.sample(range(n), deg))))
     return ParityGame(owners=owners, colours=colours, succ=tuple(succ))
-
-
-def random_play(game: ParityGame, length: int, seed: int = 0) -> list[int]:
-    """A uniformly random walk of ``length`` vertices, deterministic in seed."""
-    rng = random.Random(seed)
-    v = rng.randrange(game.n)
-    play = [v]
-    while len(play) < length:
-        v = rng.choice(game.succ[v])
-        play.append(v)
-    return play
-
-
-def longest_even_chain(colours: Sequence[int]) -> int:
-    """Length of the longest even chain in a finite colour sequence.
-
-    An even chain is a subsequence of positions ``p_1 < ... < p_l`` whose
-    colours are all even such that for each consecutive pair the colours
-    strictly between them never exceed the larger of the two flanking
-    colours.  Returns 0 for a sequence without even colours.
-
-    Runs in O(m^2) time: ``best[i]`` is the longest chain ending at
-    position ``i``; scanning candidates ``j`` downwards from ``i`` while
-    maintaining the maximum colour seen strictly between ``j`` and ``i``
-    decides each pair in O(1).
-    """
-    m = len(colours)
-    best = [0] * m
-    result = 0
-    for i in range(m):
-        if colours[i] % 2 != 0:
-            continue
-        best[i] = 1
-        between = 0  # max colour strictly between j and i
-        for j in range(i - 1, -1, -1):
-            if (
-                colours[j] % 2 == 0
-                and best[j] + 1 > best[i]
-                and between <= max(colours[i], colours[j])
-            ):
-                best[i] = best[j] + 1
-            between = max(between, colours[j])
-        result = max(result, best[i])
-    return result

@@ -23,7 +23,7 @@ import gc
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .automata import SepAutomaton, UpdateKind, bounds_for_game, step_memo
 from .errors import ResourceCapError
@@ -423,14 +423,3 @@ def differential(
 
 def _bitmap(vertices: frozenset[int], n: int) -> str:
     return "".join("1" if v in vertices else "0" for v in range(n))
-
-
-def differential_csv(rows: Sequence[dict]) -> str:
-    """Render differential rows as CSV (stable column order)."""
-    if not rows:
-        return ""
-    cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"

@@ -56,6 +56,11 @@ def _check_colour(d: int, bounds: Bounds) -> None:
         )
 
 
+def _check_length(s: Witness, bounds: Bounds) -> None:
+    if len(s) != bounds.length:
+        raise ValueError(f"state {s} has {len(s)} entries, not the {bounds.length} of {bounds}")
+
+
 # ---------------------------------------------------------------------------
 # Rule kernels
 # ---------------------------------------------------------------------------
@@ -237,19 +242,13 @@ def capped_update(s: State, d: int, bounds: Bounds, variant: UpdateVariant) -> S
     _check_colour(d, bounds)
     if s is WON:
         return WON
-    if len(s) != bounds.length:
-        raise ValueError(f"state {s} has {len(s)} entries, not the {bounds.length} of {bounds}")
+    _check_length(s, bounds)
     return _capped(_kernels(bounds, variant)[d], s, bounds.e)
 
 
 # ---------------------------------------------------------------------------
 # Antagonistic updates
 # ---------------------------------------------------------------------------
-
-
-def update_space(bounds: Bounds, variant: UpdateVariant) -> tuple[Witness, ...]:
-    """The sorted statespace the given rule set runs on (WON excluded)."""
-    return _statespace(bounds, space_variant_for(variant))
 
 
 RankTable = tuple[tuple[Witness, ...], dict[Witness, int], dict[int, list[int]]]
@@ -408,6 +407,8 @@ def antagonistic_update(
 ) -> State:
     """Antagonistic update for production use: a lookup in the table
     ``rank_table`` gives, or the constructive routine when it gives none.
+    A state of another length than the bounds', or one that the table
+    does not rank, raises ValueError.
     """
     if s is WON:
         _check_colour(d, bounds)
@@ -417,7 +418,11 @@ def antagonistic_update(
         return antagonistic_update_fast(s, d, bounds, variant)
     space, rank, columns = table
     _check_colour(d, bounds)
-    r = columns[d][rank[s]]
+    r = rank.get(s)
+    if r is None:
+        _check_length(s, bounds)
+        raise ValueError(f"state {s} is not in the {variant.value} statespace of {bounds}")
+    r = columns[d][r]
     return WON if r == len(space) else space[r]
 
 
@@ -434,11 +439,13 @@ def antagonistic_update_fast(
     (and any filling only increases it), or write ``d`` at position 0
     (and any filling moves the write higher up, increasing the result).
     So the minimum over ``{s} ∪ {agree-above-t, beat-at-t, Blank below}``
-    is the full antagonistic update.
+    is the full antagonistic update.  A state of another length than the
+    bounds' raises ValueError.
     """
     _check_colour(d, bounds)
     if s is WON:
         return WON
+    _check_length(s, bounds)
     if d % 2 and d == bounds.max_colour:
         return bounds.blank_witness()
 

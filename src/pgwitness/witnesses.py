@@ -1,4 +1,4 @@
-"""Witness states: ordering, value, statespaces, and play checkers.
+"""Witness states: ordering, value and statespaces.
 
 A witness is a fixed-length tuple of entries, written most significant
 first.  An entry is either Blank (no information) or a colour.  Witness
@@ -24,7 +24,7 @@ import enum
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 from .counting import count_classic_by_value, count_concise_by_value, count_monotone_seqs
 from .errors import ResourceCapError
@@ -147,36 +147,6 @@ def state_key(s: State):
     return (0, witness_key(s))
 
 
-def witness_cmp(a: State, b: State) -> int:
-    """Three-way comparison in the witness order (-1, 0, or 1).
-
-    Witnesses compare lexicographically from the most significant entry
-    using the entry order; WON is greater than every witness.  Comparing
-    witnesses of different lengths raises ValueError.
-    """
-    if a is WON or b is WON:
-        ka = 1 if a is WON else 0
-        kb = 1 if b is WON else 0
-        return (ka > kb) - (ka < kb)
-    if len(a) != len(b):
-        raise ValueError("cannot compare witnesses of different lengths")
-    ka2, kb2 = witness_key(a), witness_key(b)
-    return (ka2 > kb2) - (ka2 < kb2)
-
-
-def entry_at(w: Witness, position: int) -> Entry:
-    """Entry at ``position`` counting from the right (position 0 = last)."""
-    return w[len(w) - 1 - position]
-
-
-def even_positions(w: Witness) -> frozenset[int]:
-    """Positions holding an even colour."""
-    L = len(w)
-    return frozenset(
-        L - 1 - i for i, x in enumerate(w) if x != BLANK and x % 2 == 0
-    )
-
-
 def witness_value(w: Witness) -> int:
     """Guaranteed even-chain length encoded by a witness.
 
@@ -196,27 +166,6 @@ def witness_value(w: Witness) -> int:
         if x % 2:
             break
     return total
-
-
-def truncate_odd_repeats(s: State) -> State:
-    """Blank all but the leftmost occurrence of each odd colour.
-
-    Keeps even entries and blanks unchanged.  The result has the same
-    even positions and the same value as the input, and the map is
-    idempotent.
-    """
-    if s is WON:
-        return WON
-    seen: set[int] = set()
-    out = []
-    for x in s:
-        if x != BLANK and x % 2:
-            if x in seen:
-                out.append(BLANK)
-                continue
-            seen.add(x)
-        out.append(x)
-    return tuple(out)
 
 
 def state_str(s: State) -> str:
@@ -351,246 +300,3 @@ def _statespace(bounds: Bounds, variant: StatespaceVariant) -> Statespace:
     space = Statespace(states)
     space.ends = ends
     return space
-
-
-# ---------------------------------------------------------------------------
-# Semantic checkers: does a play prefix actually contain the chain fragments
-# a witness claims?
-# ---------------------------------------------------------------------------
-
-DEFAULT_CHECK_CAP = 14
-
-
-class _ChainIndex:
-    """Even-chain reachability inside one play prefix.
-
-    ``max_first[c][q]`` is the largest possible first position of an even
-    chain with ``c`` positions ending at ``q`` (or -1 if none): between
-    consecutive chain positions no colour may exceed the larger flanking
-    colour.  Maximising the first position is sound because whether a
-    chain extends from ``j`` to ``q`` only depends on ``j`` and ``q``.
-    ``suffix_max[p]`` is the largest colour at positions >= ``p``.
-    """
-
-    def __init__(self, colours: Sequence[int]):
-        m = len(colours)
-        self.colours = list(colours)
-        self.m = m
-        self.suffix_max = [0] * (m + 1)
-        for p in range(m - 1, -1, -1):
-            self.suffix_max[p] = max(colours[p], self.suffix_max[p + 1])
-        self.max_first: list[list[int]] = [[-1] * m]
-        row1 = [q if colours[q] % 2 == 0 else -1 for q in range(m)]
-        self.max_first.append(row1)
-        for c in range(2, m + 1):
-            prev = self.max_first[c - 1]
-            row = [-1] * m
-            for q in range(m):
-                if colours[q] % 2:
-                    continue
-                between = 0
-                bestfirst = -1
-                for j in range(q - 1, -1, -1):
-                    if (
-                        prev[j] > bestfirst
-                        and between <= max(colours[j], colours[q])
-                    ):
-                        bestfirst = prev[j]
-                    between = max(between, colours[j])
-                row[q] = bestfirst
-            self.max_first.append(row)
-
-    def outer_ok(self, q: int, colour: int) -> bool:
-        return self.suffix_max[q + 1] <= colour
-
-    def min_end_even(self, colour: int, length: int, min_start: int) -> int | None:
-        """Earliest end of an all-even chain of ``length`` positions whose
-        final position has exactly ``colour``, starting at or after
-        ``min_start``, with nothing larger than ``colour`` after the end."""
-        if length < 1 or length > self.m:
-            return None
-        row = self.max_first[length]
-        for q in range(self.m):
-            if (
-                self.colours[q] == colour
-                and row[q] >= min_start
-                and self.outer_ok(q, colour)
-            ):
-                return q
-        return None
-
-    def min_end_odd(self, colour: int, evens: int, min_start: int) -> int | None:
-        """Earliest end of ``evens`` all-even chain positions followed by a
-        final position of exactly ``colour`` (odd), under the same
-        domination and ordering rules."""
-        if evens == 0:
-            for q in range(min_start, self.m):
-                if self.colours[q] == colour and self.outer_ok(q, colour):
-                    return q
-            return None
-        if evens > self.m:
-            return None
-        row = self.max_first[evens]
-        for q in range(self.m):
-            if self.colours[q] != colour or not self.outer_ok(q, colour):
-                continue
-            between = 0
-            for j in range(q - 1, -1, -1):
-                if row[j] >= min_start and between <= max(self.colours[j], colour):
-                    return q
-                between = max(between, self.colours[j])
-        return None
-
-
-def _check_play(play_colours: Sequence[int], max_len: int) -> _ChainIndex:
-    if len(play_colours) > max_len:
-        raise ResourceCapError(
-            f"play prefix of length {len(play_colours)} exceeds checker cap {max_len}"
-        )
-    return _ChainIndex(play_colours)
-
-
-def is_classic_witness(
-    w: Witness, play_colours: Sequence[int], *, max_len: int = DEFAULT_CHECK_CAP
-) -> bool:
-    """Does the play prefix support every claim of a classic witness?
-
-    Position ``i`` holding colour ``g`` claims a fragment in the play: an
-    all-even inner-dominated chain of exactly ``2^i`` positions whose final
-    colour is ``g`` (for even ``g``), or such a chain followed by one
-    position of odd colour ``g`` (for odd ``g``); after the fragment's
-    final position no larger colour than ``g`` may occur.  Fragments of
-    higher positions must end before fragments of lower positions start,
-    and the rightmost entry must be even or Blank.
-
-    The search places fragments greedily from the highest position down,
-    always taking the placement with the earliest valid end; this is
-    complete because every constraint between fragments is "starts after
-    the previous end".
-    """
-    if w is WON:
-        raise ValueError("WON is not a witness")
-    if w and w[-1] != BLANK and w[-1] % 2:
-        return False
-    index = _check_play(play_colours, max_len)
-    L = len(w)
-    min_start = 0
-    for i, x in enumerate(w):
-        if x == BLANK:
-            continue
-        pos = L - 1 - i
-        evens = 1 << pos
-        if x % 2 == 0:
-            q = index.min_end_even(x, evens, min_start)
-        else:
-            q = index.min_end_odd(x, evens, min_start)
-        if q is None:
-            return False
-        min_start = q + 1
-    return True
-
-
-def is_colour_witness(
-    w: Witness, play_colours: Sequence[int], *, max_len: int = DEFAULT_CHECK_CAP
-) -> bool:
-    """Does the play prefix support every claim of a colour witness?
-
-    Here a present colour ``g`` (possibly at several positions) claims one
-    fragment: an all-even inner-dominated chain of ``n_g`` positions ending
-    in exactly ``g`` (even ``g``, ``n_g >= 1``), or ``n_g`` such positions
-    followed by one final position of odd colour ``g`` (``n_g >= 0``);
-    after the fragment's final position no larger colour may appear.
-    Fragments are ordered by colour: larger colours end before smaller
-    colours start.
-
-    The fragment sizes must cover the positions the witness occupies: for
-    every present colour ``g``, summing ``n_j`` over present colours ``j``
-    from ``g`` up to (excluding) the next present odd colour above ``g``
-    must reach the sum of ``2^p`` over the positions those colours occupy.
-    Structurally the entries must be monotone, odd colours must occur at
-    most once, and the rightmost entry must be even or Blank.
-
-    Searches over fragment sizes (Pareto-reduced to undominated
-    size/earliest-end pairs per colour) with the coverage constraints
-    checked as soon as all their colours are placed.
-    """
-    if w is WON:
-        raise ValueError("WON is not a witness")
-    L = len(w)
-    # Structural part: monotone, odd-once, rightmost even-or-blank.
-    last = None
-    odds_seen: set[int] = set()
-    for x in w:
-        if x == BLANK:
-            continue
-        if last is not None and x > last:
-            return False
-        last = x
-        if x % 2:
-            if x in odds_seen:
-                return False
-            odds_seen.add(x)
-    if w and w[-1] != BLANK and w[-1] % 2:
-        return False
-
-    positions: dict[int, list[int]] = {}
-    for i, x in enumerate(w):
-        if x != BLANK:
-            positions.setdefault(x, []).append(L - 1 - i)
-    if not positions:
-        return True
-    index = _check_play(play_colours, max_len)
-    colours_desc = sorted(positions, reverse=True)
-
-    # Coverage constraints, one per present colour g: summing sizes over
-    # present colours in [g, next present odd above g) must reach the sum
-    # of 2^p over their positions.
-    constraints: dict[int, tuple[tuple[int, ...], int]] = {}
-    for g in colours_desc:
-        next_odd = None
-        for j in colours_desc:
-            if j > g and j % 2:
-                next_odd = j if next_odd is None else min(next_odd, j)
-        group = tuple(
-            j for j in colours_desc if g <= j and (next_odd is None or j < next_odd)
-        )
-        budget = sum(1 << p for j in group for p in positions[j])
-        constraints[g] = (group, budget)
-
-    m = index.m
-
-    def placements(colour: int, min_start: int) -> list[tuple[int, int]]:
-        lo = 0 if colour % 2 else 1
-        pairs = []
-        for size in range(lo, m + 1):
-            if colour % 2:
-                q = index.min_end_odd(colour, size, min_start)
-            else:
-                q = index.min_end_even(colour, size, min_start)
-            if q is not None:
-                pairs.append((size, q))
-        # Pareto: drop (size, q) if another pair has size' >= size, q' <= q.
-        pairs.sort(key=lambda p: (-p[0], p[1]))
-        pareto: list[tuple[int, int]] = []
-        best_q = m + 1
-        for size, q in pairs:
-            if q < best_q:
-                pareto.append((size, q))
-                best_q = q
-        return pareto
-
-    chosen: dict[int, int] = {}
-
-    def search(t: int, min_start: int) -> bool:
-        if t == len(colours_desc):
-            return True
-        g = colours_desc[t]
-        group, budget = constraints[g]
-        for size, q in placements(g, min_start):
-            chosen[g] = size
-            if sum(chosen[j] for j in group) >= budget and search(t + 1, q + 1):
-                return True
-        chosen.pop(g, None)
-        return False
-
-    return search(0, 0)

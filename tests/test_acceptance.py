@@ -21,8 +21,19 @@ import random
 import time
 from math import comb
 
-from oracles import antagonistic_reference
-from pgwitness.automata import SepAutomaton, bounds_for_game, play_word
+from oracles import (
+    antagonistic_reference,
+    even_positions,
+    is_classic_witness,
+    is_colour_witness,
+    longest_even_chain,
+    play_word,
+    random_play,
+    truncate_odd_repeats,
+    update_space,
+    witness_cmp,
+)
+from pgwitness.automata import SepAutomaton, bounds_for_game
 from pgwitness.counting import (
     count_bitword_measures,
     count_classic_by_value,
@@ -37,7 +48,7 @@ from pgwitness.counting import (
     total_bitword_measures,
     total_monotone_seqs,
 )
-from pgwitness.games import generate_random, longest_even_chain, random_play
+from pgwitness.games import generate_random
 from pgwitness.solvers import differential, solve_lifting
 from pgwitness.updates import (
     UpdateVariant,
@@ -45,19 +56,13 @@ from pgwitness.updates import (
     antagonistic_update_fast,
     capped_update,
     space_variant_for,
-    update_space,
 )
 from pgwitness.witnesses import (
     WON,
     Bounds,
     StatespaceVariant,
     enumerate_statespace,
-    even_positions,
-    is_classic_witness,
-    is_colour_witness,
     state_key,
-    truncate_odd_repeats,
-    witness_cmp,
     witness_value,
 )
 

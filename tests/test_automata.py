@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import game
-from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game, play_word
+from oracles import play_word
+from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game
 from pgwitness.updates import UpdateVariant
 from pgwitness.witnesses import BLANK, WON, Bounds
 
@@ -47,6 +48,17 @@ def test_step_rejects_out_of_range_colours():
     aut = SepAutomaton(bounds=b, variant=UpdateVariant.CONCISE)
     with pytest.raises(ValueError):
         aut.step(aut.initial, 4)
+
+
+def test_step_rejects_a_state_of_another_length():
+    # Within the table cap (4 entries) and above it (9 entries).
+    for b in (Bounds(max_colour=6, e=12), Bounds(max_colour=10, e=484)):
+        for variant in UpdateVariant:
+            for kind in UpdateKind:
+                aut = SepAutomaton(bounds=b, variant=variant, kind=kind)
+                for w in [(B,) * (b.length - 1), (B,) * (b.length + 1)]:
+                    with pytest.raises(ValueError, match="entries, not the"):
+                        aut.step(w, 2)
 
 
 def test_bounds_for_game_defaults_to_even_vertex_count():

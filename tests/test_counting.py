@@ -4,6 +4,8 @@ import re
 
 import pytest
 
+from oracles import half_budget_identity
+from pgwitness.cli import rows_csv
 from pgwitness.counting import (
     FIXED_COLOUR_ROWS,
     LINEAR_COLOUR_ROWS,
@@ -15,9 +17,7 @@ from pgwitness.counting import (
     count_evenweight_by_length_value,
     count_monotone_seqs,
     count_odd_once,
-    half_budget_identity,
     statespace_totals,
-    table_csv,
     table_fixed_colours,
     table_linear_colours,
     total_bitword_measures,
@@ -196,7 +196,7 @@ def test_linear_colour_table_shape_and_sample_rows():
 
 
 def test_table_csv_schema():
-    text = table_csv(table_fixed_colours())
+    text = rows_csv(table_fixed_colours())
     lines = text.strip().split("\n")
     assert lines[0] == (
         "n,c,old_exact,jl_exact,new_exact,old_k,jl_k,new_k,new_over_jl"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import game
+from oracles import longest_even_chain, random_play
 from pgwitness.errors import GameParseError
 from pgwitness.games import (
     EVEN,
@@ -13,10 +14,8 @@ from pgwitness.games import (
     ParityGame,
     _statements,
     generate_random,
-    longest_even_chain,
     normalize_colours,
     parse_pgsolver,
-    random_play,
     serialize_pgsolver,
 )
 

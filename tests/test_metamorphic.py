@@ -6,6 +6,9 @@ against each other, so no bug shared with an oracle can hide.
 * Relabelling the vertices and shuffling every successor list gives the
   relabelled winners and the same product positions.  Lift counts are
   left out: the lifting queue follows vertex ids.
+* The dual game swaps the owners and adds 1 to every colour, so each
+  player wins a play of it exactly when the other wins the same play of
+  the original: Even's region in the dual is Odd's in the original.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgwitness.automata import UpdateKind
-from pgwitness.games import ParityGame, generate_random
+from pgwitness.games import EVEN, ODD, ParityGame, generate_random
 from pgwitness.solvers import DIFF_METHODS, solve
 from pgwitness.updates import UpdateVariant
 
@@ -28,6 +31,13 @@ CONFIGS = [("zielonka", UpdateVariant.CONCISE, UpdateKind.BASIC)] + [
 games = st.builds(
     generate_random,
     st.integers(1, 12),
+    st.integers(1, 8),
+    st.just((1, 4)),
+    st.integers(0, 10**6),
+)
+larger_games = st.builds(
+    generate_random,
+    st.integers(3, 20),
     st.integers(1, 8),
     st.just((1, 4)),
     st.integers(0, 10**6),
@@ -79,3 +89,16 @@ def test_relabelling_relabels_the_winners_and_keeps_the_positions(g, seed):
         for config, (even, _, positions) in _solve_all(relabelled).items()
     }
     assert got == expected
+
+
+@given(larger_games)
+@settings(max_examples=100, deadline=None)
+def test_the_dual_game_gives_even_the_region_odd_wins_in_the_original(g):
+    dual = ParityGame(
+        owners=tuple(ODD if o == EVEN else EVEN for o in g.owners),
+        colours=tuple(c + 1 for c in g.colours),
+        succ=g.succ,
+    )
+    for algo, variant, kind in CONFIGS:
+        got = solve(dual, algo, variant, kind).even
+        assert got == solve(g, algo, variant, kind).odd, (algo, variant, kind)

@@ -9,6 +9,7 @@ from conftest import game
 from oracles import brute_force_even_region, product_even_region
 from pgwitness import automata, updates, witnesses
 from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game
+from pgwitness.cli import rows_csv
 from pgwitness.errors import ResourceCapError
 from pgwitness.games import EVEN, ODD, generate_random, normalize_colours
 from pgwitness.solvers import (
@@ -16,7 +17,6 @@ from pgwitness.solvers import (
     DIFF_METHODS,
     attractor,
     differential,
-    differential_csv,
     solve,
     solve_lifting,
     solve_product,
@@ -487,11 +487,11 @@ def test_differential_bitstring_puts_vertex_zero_leftmost():
 
 def test_differential_csv_shape():
     rows = differential(range(3), n=5, max_colour=4)
-    text = differential_csv(rows)
+    text = rows_csv(rows)
     lines = text.strip().split("\n")
     assert len(lines) == 4
     header = lines[0].split(",")
     assert header[0] == "seed" and "agree" in header
     for line in lines[1:]:
         assert len(line.split(",")) == len(header)
-    assert differential_csv([]) == ""
+    assert rows_csv([]) == ""

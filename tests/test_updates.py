@@ -13,6 +13,8 @@ from oracles import (
     raw_colour_reference,
     raw_concise_reference,
     suffix_minimum_columns,
+    truncate_odd_repeats,
+    update_space,
 )
 from pgwitness import updates, witnesses
 from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game, step_memo
@@ -36,7 +38,6 @@ from pgwitness.updates import (
     rank_table,
     space_size,
     space_variant_for,
-    update_space,
 )
 from pgwitness.witnesses import (
     BLANK,
@@ -46,7 +47,6 @@ from pgwitness.witnesses import (
     enumerate_statespace,
     state_key,
     statespace_size,
-    truncate_odd_repeats,
     witness_value,
 )
 
@@ -204,6 +204,32 @@ def test_capped_update_rejects_a_state_of_another_length():
     for w in [(B, B), (4, B, B, B, B)]:
         with pytest.raises(ValueError, match="entries"):
             capped_update(w, 3, B6, CLASSIC)
+
+
+def test_antagonistic_updates_reject_unranked_states_within_the_table_cap():
+    # B6 states have 4 entries, and every rule set's table is built.
+    for variant in UpdateVariant:
+        assert rank_table(B6, variant) is not None
+        for w in [(B,) * 3, (B,) * 5]:
+            for update in (antagonistic_update, antagonistic_update_fast):
+                with pytest.raises(ValueError, match=f"has {len(w)} entries, not the 4 of"):
+                    update(w, 2, B6, variant)
+        # Four entries, but value 14 > 12, or 2 before 4 against the order.
+        for w in [(6, 6, 6, B), (2, 4, B, B)]:
+            with pytest.raises(ValueError, match=f"not in the {variant.value} statespace"):
+                antagonistic_update(w, 2, B6, variant)
+
+
+def test_antagonistic_updates_reject_a_state_of_another_length_above_the_table_cap():
+    b = Bounds(max_colour=10, e=484)  # 9 entries
+    misses = witnesses._statespace.cache_info().misses
+    for variant in UpdateVariant:
+        assert rank_table(b, variant) is None
+        for w in [(B,) * 8, (B,) * 10]:
+            for update in (antagonistic_update, antagonistic_update_fast):
+                with pytest.raises(ValueError, match=f"has {len(w)} entries, not the 9 of"):
+                    update(w, 4, b, variant)
+    assert witnesses._statespace.cache_info().misses == misses
 
 
 def test_concise_update_is_truncated_classic():

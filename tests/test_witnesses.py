@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import is_valid_state
+from oracles import (
+    entry_at,
+    even_positions,
+    is_classic_witness,
+    is_colour_witness,
+    is_valid_state,
+    truncate_odd_repeats,
+    witness_cmp,
+)
 from pgwitness import witnesses
 from pgwitness.counting import count_monotone_seqs
 from pgwitness.errors import ResourceCapError
@@ -16,16 +24,10 @@ from pgwitness.witnesses import (
     WON,
     Bounds,
     StatespaceVariant,
-    entry_at,
     entry_key,
     enumerate_statespace,
-    even_positions,
-    is_classic_witness,
-    is_colour_witness,
     state_key,
     state_str,
-    truncate_odd_repeats,
-    witness_cmp,
     witness_value,
 )
 
