@@ -21,6 +21,7 @@ import enum
 from functools import lru_cache
 from typing import Callable
 
+from .errors import InternalInvariantError
 from .witnesses import (
     BLANK,
     WON,
@@ -56,9 +57,28 @@ def _check_colour(d: int, bounds: Bounds) -> None:
         )
 
 
-def _check_length(s: Witness, bounds: Bounds) -> None:
+def _check_state(s: Witness, bounds: Bounds, variant: UpdateVariant) -> None:
+    """Raise ValueError unless ``s`` is a state of the rule set's
+    statespace for ``bounds``, decided from its structure as the
+    enumeration builds it: the bounds' length, non-Blank entries from
+    the space's alphabet in non-increasing order, none odd at position 0,
+    no odd colour twice in the concise space, and a value of at most
+    ``e``.  Nothing is enumerated."""
     if len(s) != bounds.length:
         raise ValueError(f"state {s} has {len(s)} entries, not the {bounds.length} of {bounds}")
+    concise = variant is not UpdateVariant.CLASSIC
+    # The alphabet is 2 up to the greatest even colour (see
+    # ``Bounds.statespace_entries``), and each entry bounds the next.
+    last = bounds.max_colour & ~1
+    for x in s:
+        if x:
+            if not 2 <= x <= last or (concise and x == last and x & 1):
+                break
+            last = x
+    else:
+        if not s[-1] & 1 and witness_value(s) <= bounds.e:
+            return
+    raise ValueError(f"state {s} is not in the {variant.value} statespace of {bounds}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +255,13 @@ def capped_update(s: State, d: int, bounds: Bounds, variant: UpdateVariant) -> S
     """The basic update: raw rules, with values beyond ``e`` collapsing to WON.
 
     WON is absorbing.  Any other ``s`` must be a state of the rule set's
-    statespace for ``bounds``; the colour must lie in its colour range.
-    The kernels are built for the bounds' state length, so a state of
-    another length raises ValueError.
+    statespace for ``bounds``, and the colour must lie in its colour
+    range; otherwise ValueError is raised.
     """
     _check_colour(d, bounds)
     if s is WON:
         return WON
-    _check_length(s, bounds)
+    _check_state(s, bounds, variant)
     return _capped(_kernels(bounds, variant)[d], s, bounds.e)
 
 
@@ -261,12 +280,16 @@ _UPDATE_SPACES = frozenset(space_variant_for(v) for v in UpdateVariant)
 @lru_cache(maxsize=len(_UPDATE_SPACES))
 def _ranked_space(
     bounds: Bounds, variant: StatespaceVariant
-) -> tuple[tuple[Witness, ...], dict[Witness, int], list[int]]:
-    """The sorted statespace, its inverse ``rank[space[r]] == r``, and the
-    block ends the enumeration recorded (see ``Statespace``).  One entry
-    per statespace: concise and colour rules share theirs."""
+) -> tuple[tuple[Witness, ...], dict[Witness, int], list[int], list[int]]:
+    """The sorted statespace, its inverse ``rank[space[r]] == r``, the
+    block ends the enumeration recorded (see ``Statespace``), and
+    ``ranks``: the rank dict's own int objects in rank order, then
+    ``len(space)`` for WON.  Columns store ranks taken from ``ranks`` or
+    the rank dict, so they hold no int objects of their own.
+    One entry per statespace: concise and colour rules share theirs."""
     space = _statespace(bounds, variant)
-    return space, {c: i for i, c in enumerate(space)}, space.ends.tolist()
+    rank = {c: i for i, c in enumerate(space)}
+    return space, rank, space.ends.tolist(), [*rank.values(), len(space)]
 
 
 @lru_cache(maxsize=1)
@@ -283,39 +306,83 @@ def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
     col = store.get((variant, d))
     if col is not None:
         return col
-    space, rank, ends = _ranked_space(bounds, space_variant_for(variant))
-    won = len(space)
+    space, rank, ends, ranks = _ranked_space(bounds, space_variant_for(variant))
     kernel = _kernels(bounds, variant)[d]
     if kernel is _unchanged:
         # Every state's outcome is itself, so the suffix minima are the
-        # ranks: the rank dict's own int objects, in rank order.
-        col = store[variant, d] = [*rank.values(), won]
-        return col
+        # ranks.
+        store[variant, d] = ranks
+        return ranks
+    won = len(space)
+    odd = d & 1
+    below = (d - 1) // 2  # how many of the leaf entries 2, 4, ... are below d
+    single = bounds.length == 1
     col = [won] * (won + 1)
-    # The blocks still to fill, as (first state, the entry of the first
-    # state of the block around it, or -1 for the whole space).  Sub-blocks
-    # are pushed left to right, so a block is popped only after everything
-    # to its right is filled, and ``col[end]`` is final when it is read.
+    # Every block popped here starts with a head (a state ending in
+    # Blank) followed by its leaves.  The blocks still to fill are (head,
+    # the entry of the first state of the block around it, or -1 for the
+    # whole space); a leaf run with sub-blocks after it waits as (~head,
+    # end of the run).  Sub-blocks are pushed left to right, so an entry
+    # is popped only after everything to its right is filled, and ``col``
+    # is final where it is read.
     todo = [(0, -1)]
     while todo:
-        r, floor = todo.pop()
-        end = ends[r]
-        right = col[end]
-        if floor == right:
-            out = right
+        h, end = todo.pop()
+        if h < 0:
+            h = ~h
+            out, right = col[h], col[end]
         else:
-            # A stale rule returns its input itself, which is of rank r.
-            w = space[r]
-            s = kernel(w)
-            out = r if s is w else rank.get(s, won)
-        if out >= right:
-            col[r:end] = [right] * (end - r)
+            floor, end = end, ends[h]
+            right = col[end]
+            if floor == right:
+                out = right
+            elif d == 2:
+                # The head reads 2 into its last Blank: its first leaf,
+                # or past the budget when it has none.
+                out = ranks[h + 1] if h + 1 < end and space[h + 1][-1] else won
+            else:
+                # A stale rule returns its input itself, which is of rank h.
+                w = space[h]
+                s = kernel(w)
+                out = ranks[h] if s is w else rank.get(s, won)
+            if out >= right:
+                col[h:end] = [right] * (end - h)
+                continue
+            if odd and out != h:
+                # Every state of the block has the head's outcome.
+                col[h:end] = [out] * (end - h)
+                continue
+            col[h] = out
+            if not (single or space[h][-2]):
+                # Sub-blocks may follow the leaves.
+                c = h + 1
+                while c < end and space[c][-1]:
+                    c += 1
+                if c < end:
+                    if c > h + 1:
+                        todo.append((~h, c))
+                    while c < end:
+                        todo.append((c, out))
+                        c = ends[c]
+                    continue
+            if end == h + 1:
+                continue
+        # The leaf run h+1 .. end-1, between col[h] == out and col[end] == right.
+        if odd:
+            # The head is stale: the leaves below d go to it, the others stay.
+            a = min(h + 1 + below, end)
+            col[h + 1 : a] = [out] * (a - h - 1)
+            t = min(max(right, a), end)
+            col[a:t] = ranks[a:t]
+            col[t:end] = [right] * (end - t)
             continue
-        col[r] = out
-        c = r + 1
-        while c < end:
-            todo.append((c, out))
-            c = ends[c]
+        if out == right:
+            v = out
+        else:
+            v = rank.get(kernel(space[h + 1]), won)
+            if v > right:
+                v = right
+        col[h + 1 : end] = [v] * (end - h - 1)
     store[variant, d] = col
     return col
 
@@ -344,6 +411,59 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     rules: one above the budget is not in the value-capped space and
     ranks as WON, as its capped form does.
 
+    A block of more than one state starts with a *head* ``h = P +
+    (Blank,)``.  Its *leaves*, the states ``P + (x,)`` with ``x`` not
+    Blank, follow it at ranks ``h+1 .. m-1``, each a block of its own,
+    with ``x = 2, 4, ...`` in order: both statespaces hold no odd entry
+    at position 0 (the last index), and the entries allowed there are
+    either none or every even entry up to ``P``'s last non-Blank one (up
+    to the greatest, when ``P`` is all Blank).  When ``P`` ends in a
+    non-Blank entry, the block is ``h`` and its leaves.  By the lemma
+    below, each leaf run is filled from at most one rule evaluation, and
+    on an odd colour a head that is not stale fills its whole block.
+    ``h`` is *stale* when its outcome is ``h`` itself.  Colour 1 changes
+    no state and has a column of its own; the greatest colour, when odd,
+    sends every state to the all-Blank one, where the odd cases are
+    immediate.
+
+    * even ``d``: every leaf has the same outcome.  The classic (and so
+      the concise) rules take the overflow slot, the rightmost index
+      holding Blank or an odd colour; a leaf's last entry is even, so
+      the slot is ``P``'s, and with none in ``P`` every leaf carries out
+      to WON.  The local write is sought before the slot, and either
+      write replaces everything from its index on, position 0 included.
+      The colour rules release at the first odd colour below ``d``,
+      which lies in ``P``, raise entries up to it and blank the rest up
+      to position 0, where they write ``d``; without one they absorb at
+      the least position holding Blank or an odd colour, in ``P`` too,
+      raise the entries before it and replace the rest, or with no such
+      position carry out to WON.  So the run holds ``min(out(h+1),
+      col[m])``;
+    * odd ``d``, ``h`` not stale: every state of ``h``'s block, leaves
+      included, has ``h``'s outcome.  All three rule sets write at the
+      first index whose entry is below ``d`` (``<= d`` for the colour
+      rules), and replace everything from there on.  A write that
+      changes ``h`` lies in the entries above its trailing Blanks, which
+      the whole block shares.  The concise rules blank the write when
+      ``d`` is an entry already, and entries after the write are below
+      it, so they hold no ``d``.  The block holds ``out(h)``, with no
+      further rule evaluated;
+    * odd ``d``, ``h`` stale: no entry of ``P`` is below ``d``, so a
+      leaf with ``x < d`` becomes ``h``: the rules write at position 0,
+      where every rule set blanks an odd colour, or the colour rules
+      rewrite a ``d`` of ``P`` that only Blanks follow.  A leaf with ``x
+      > d`` is stale (``P`` then holds no ``d``).  No rule is evaluated:
+      the leaves below ``d`` hold ``h``, and a leaf ``j`` above it
+      ``min(j, col[m])``.
+
+    Colour 2 needs no evaluation on a head.  No entry is below 2, so the
+    rules write 2 at the overflow slot, which for ``h`` is its last
+    index: ``h`` goes to ``P + (2,)``, its first leaf ``h+1`` when it has
+    leaves, and otherwise past the budget, to WON (a state with non-Blank
+    position 0 is in the space exactly when its value is at most ``e``,
+    and the leaves of ``h`` are all there or none is).  So colour 2
+    evaluates one leaf per run.
+
     Each column is built once per Bounds and rule set (``_column``), and
     the COLOUR table reads the CONCISE column, the same list, for every
     odd colour and for colour 2, because there the two rule sets give
@@ -371,7 +491,7 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     classic overflow writes the same state; with no such index both
     carry out to WON.
     """
-    space, rank, _ = _ranked_space(bounds, space_variant_for(variant))
+    space, rank, _, _ = _ranked_space(bounds, space_variant_for(variant))
     columns: dict[int, list[int]] = {}
     for d in bounds.colours:
         shared = variant is UpdateVariant.COLOUR and (d % 2 or d == 2)
@@ -407,8 +527,8 @@ def antagonistic_update(
 ) -> State:
     """Antagonistic update for production use: a lookup in the table
     ``rank_table`` gives, or the constructive routine when it gives none.
-    A state of another length than the bounds', or one that the table
-    does not rank, raises ValueError.
+    A state outside the rule set's statespace raises ValueError on both
+    paths.
     """
     if s is WON:
         _check_colour(d, bounds)
@@ -420,8 +540,8 @@ def antagonistic_update(
     _check_colour(d, bounds)
     r = rank.get(s)
     if r is None:
-        _check_length(s, bounds)
-        raise ValueError(f"state {s} is not in the {variant.value} statespace of {bounds}")
+        _check_state(s, bounds, variant)
+        raise InternalInvariantError(f"state {s} passes the statespace check but has no rank")
     r = columns[d][r]
     return WON if r == len(space) else space[r]
 
@@ -439,13 +559,13 @@ def antagonistic_update_fast(
     (and any filling only increases it), or write ``d`` at position 0
     (and any filling moves the write higher up, increasing the result).
     So the minimum over ``{s} ∪ {agree-above-t, beat-at-t, Blank below}``
-    is the full antagonistic update.  A state of another length than the
-    bounds' raises ValueError.
+    is the full antagonistic update.  A state outside the rule set's
+    statespace raises ValueError.
     """
     _check_colour(d, bounds)
     if s is WON:
         return WON
-    _check_length(s, bounds)
+    _check_state(s, bounds, variant)
     if d % 2 and d == bounds.max_colour:
         return bounds.blank_witness()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -232,6 +233,56 @@ def test_antagonistic_updates_reject_a_state_of_another_length_above_the_table_c
     assert witnesses._statespace.cache_info().misses == misses
 
 
+def test_the_statespace_check_accepts_exactly_the_enumerated_states():
+    # Every tuple over Blank, the colours and one colour above them.
+    for b in [
+        Bounds(max_colour=c, e=e, min_colour=m)
+        for m in (1, 2)
+        for c in range(m, 7)
+        for e in (1, 2, 3, 5, 6, 8, 11, 15)
+    ]:
+        for variant in UpdateVariant:
+            space = set(update_space(b, variant))
+            for w in itertools.product(range(b.max_colour + 2), repeat=b.length):
+                try:
+                    updates._check_state(w, b, variant)
+                    ok = True
+                except ValueError as exc:
+                    assert f"not in the {variant.value} statespace" in str(exc)
+                    ok = False
+                assert ok == (w in space), (b, variant, w)
+
+
+@pytest.mark.parametrize("cap", [ANTAGONISTIC_TABLE_CAP, 0], ids=["within", "above"])
+def test_every_update_path_rejects_a_state_outside_the_statespace(monkeypatch, cap):
+    # Four entries, but 2 before 4 against the order, or value 14 > 12;
+    # and, with 9 entries at Bounds(10, 484), 2 before 4 again, or value
+    # 496 > 484.  Above the table cap antagonistic_update takes the
+    # constructive routine.
+    monkeypatch.setattr(updates, "ANTAGONISTIC_TABLE_CAP", cap)
+    big = Bounds(max_colour=10, e=484)
+    cases = [
+        (B6, (2, 4, B, B)),
+        (B6, (6, 6, 6, B)),
+        (big, (2, 4) + (B,) * 7),
+        (big, (10,) * 5 + (B,) * 4),
+    ]
+    for variant in UpdateVariant:
+        for b, w in cases:
+            for update in (capped_update, antagonistic_update, antagonistic_update_fast):
+                with pytest.raises(ValueError, match=f"not in the {variant.value} statespace"):
+                    update(w, 2, b, variant)
+            for kind in UpdateKind:
+                with pytest.raises(ValueError, match="statespace"):
+                    SepAutomaton(b, variant, kind).step(w, 2)
+        # A concise state repeats no odd colour; a classic one may.
+        w = (5, 5, B, B)
+        assert capped_update(w, 2, B6, CLASSIC) == (5, 5, B, 2)
+        if variant is not CLASSIC:
+            with pytest.raises(ValueError, match="statespace"):
+                capped_update(w, 2, B6, variant)
+
+
 def test_concise_update_is_truncated_classic():
     b = Bounds(max_colour=6, e=14)
     space = enumerate_statespace(b, StatespaceVariant.CLASSIC_VALUE_CAPPED)
@@ -428,7 +479,7 @@ def test_rank_table_agrees_with_the_witness_order_and_the_reference():
 
 
 @pytest.mark.parametrize(
-    "bounds", [Bounds(8, 77), Bounds(16, 16), Bounds(10, 30, min_colour=2)], ids=str
+    "bounds", BENCHMARK_BOUNDS + [Bounds(10, 30, min_colour=2)], ids=str
 )
 def test_block_filled_table_equals_the_suffix_minimum_oracle(bounds):
     for variant in UpdateVariant:
@@ -445,6 +496,81 @@ def test_colour_table_shares_the_concise_columns():
             assert colour[d] is concise[d], d
         else:
             assert colour[d] is not concise[d], d
+
+
+@pytest.mark.parametrize("variant", list(UpdateVariant), ids=lambda v: v.value)
+def test_leaf_runs_follow_the_lemma_on_the_kernels(variant):
+    """The lemma the column fill relies on (see ``_antagonistic_table``),
+    checked on the capped kernels themselves: each head ``P + (Blank,)``
+    is followed by its leaves ``P + (2,), P + (4,), ...``; on an even
+    colour every leaf has the same outcome; on an odd one every state of
+    the head's block has the head's outcome unless the head is stale, and
+    then a leaf below the colour goes to the head and one above it stays;
+    and colour 2 takes a head to its first leaf, or to WON when it has
+    none.  Blocks are found by the neighbour comparison."""
+    pairs = 0
+    for b in SWEEP + BENCHMARK_BOUNDS:
+        kernels = _kernels(b, variant)
+        space = update_space(b, variant)
+        ends = block_ends_by_neighbours(space)
+
+        def out(w, d):
+            return updates._capped(kernels[d], w, b.e)
+
+        heads = [r for r, w in enumerate(space) if w[-1] == B]
+        for r, m in zip(heads, heads[1:] + [len(space)]):
+            h, leaves = space[r], space[r + 1 : m]
+            assert [w[:-1] for w in leaves] == [h[:-1]] * len(leaves), (b, h)
+            assert [w[-1] for w in leaves] == list(range(2, 2 * len(leaves) + 1, 2)), (b, h)
+            for d in b.colours:
+                if d == 2:
+                    assert out(h, d) == (leaves[0] if leaves else WON), (b, h)
+                outs = [out(w, d) for w in leaves]
+                pairs += len(leaves)
+                if d % 2 == 0:
+                    assert outs == outs[:1] * len(leaves), (b, h, d)
+                elif out(h, d) != h:
+                    block = space[r : ends[r]]
+                    assert [out(w, d) for w in block] == [out(h, d)] * len(block), (b, h, d)
+                else:
+                    assert outs == [h if w[-1] < d else w for w in leaves], (b, h, d)
+    assert pairs > 0
+
+
+@pytest.mark.parametrize(
+    "bounds, variant, total, colour_2",
+    [
+        (Bounds(8, 77), CLASSIC, 19_713, 5_297),
+        (Bounds(8, 77), CONCISE, 12_099, 2_918),
+        (Bounds(16, 16), CLASSIC, 32_278, 3_529),
+        (Bounds(16, 16), CONCISE, 24_564, 2_640),
+    ],
+    ids=["8-77-classic", "8-77-concise", "16-16-classic", "16-16-concise"],
+)
+def test_a_cold_table_build_evaluates_the_rules_this_often(
+    monkeypatch, bounds, variant, total, colour_2
+):
+    calls: dict[int, int] = {}
+
+    def counted(bounds, variant):
+        # The kernels themselves, counting each call per colour.
+        def wrap(d, kernel):
+            def rule(w):
+                calls[d] = calls.get(d, 0) + 1
+                return kernel(w)
+
+            return kernel if kernel is updates._unchanged else rule
+
+        return {d: wrap(d, k) for d, k in _kernels(bounds, variant).items()}
+
+    monkeypatch.setattr(updates, "_kernels", counted)
+    _antagonistic_table.cache_clear()
+    _column_store.cache_clear()
+    _antagonistic_table(bounds, variant)
+    assert (sum(calls.values()), calls[2]) == (total, colour_2)
+    # At most one evaluation per leaf run on colour 2, so never more than
+    # the heads, the states that end in Blank.
+    assert calls[2] <= sum(1 for w in update_space(bounds, variant) if w[-1] == B)
 
 
 def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
