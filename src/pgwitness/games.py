@@ -279,7 +279,8 @@ def generate_random(
 
     Each vertex gets a uniform owner, a uniform colour in ``1..max_colour``
     and between ``out_degree[0]`` and ``out_degree[1]`` distinct successors
-    (at least one, so the game has no dead ends).
+    (at least one, so the game has no dead ends; at most ``n``, so
+    ``out_degree[0]`` may not exceed ``n``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -288,6 +289,8 @@ def generate_random(
     lo, hi = out_degree
     if not 1 <= lo <= hi:
         raise ValueError("out_degree must satisfy 1 <= lo <= hi")
+    if lo > n:
+        raise ValueError(f"out-degree at least {lo} needs at least {lo} vertices, got n={n}")
     rng = random.Random(seed)
     owners = tuple(rng.randrange(2) for _ in range(n))
     colours = tuple(rng.randint(1, max_colour) for _ in range(n))

@@ -136,7 +136,9 @@ def solve_product(
     win at once and are not expanded.  Positions are counted, not
     stored: one vertex set per state collects the successors of every
     exit into it, WON exits included, and ``stats["product_positions"]``
-    and ``cap`` read the total of their sizes.
+    is the total of their sizes, taken after exploration.  Each exit is
+    the exit of a position of its own, so exploration stops as soon as
+    the exits outnumber ``cap``; the final count decides ``cap`` exactly.
     """
     b = automaton.bounds
     for c in game.colours:
@@ -161,11 +163,11 @@ def solve_product(
         space, rank, moves = table
         won, initial, take = len(space), rank[automaton.initial], None
 
-    # Every exit's predecessor list is a tracked container, so the cyclic
-    # collector would run all through the solve, and each full pass would
-    # walk every cached table too.  Nothing the solve builds forms a
-    # cycle, and its containers are freed when ``_solve_exits`` returns,
-    # before the collector resumes.
+    # The lists of later predecessors are tracked containers, so the
+    # cyclic collector would still run during the solve, and each full
+    # pass would walk every cached table too.  Nothing the solve builds
+    # forms a cycle, and its containers are freed when ``_solve_exits``
+    # returns, before the collector resumes.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -191,12 +193,11 @@ def _solve_exits(
     """Explore and solve the product on exits (see ``solve_product``):
     whether each start exit (v, initial) is won, in vertex order, and the
     number of product positions."""
-    # An exit (v, q) is numbered in order of discovery, and exit_of[v]
-    # maps q to its number; exits 0..n-1 are those of the start positions
-    # (v, initial).  Exits are expanded in discovery order (breadth
-    # first): expanding (v, q) appends it to the predecessor lists of the
-    # exits (w, q2) of its successor positions (w, q).  reached[q] is the
-    # vertex set of the positions (w, q) counted so far.
+    # Exits are numbered in order of discovery (exit_of[v] maps q to the
+    # number of (v, q); 0..n-1 are the start exits) and expanded in that
+    # order, breadth first: expanding x = (v, q) makes x a predecessor of
+    # the exits (w, q2) of its successor positions (w, q).  Exit y's first
+    # predecessor is first[y] (-1 for a start exit), any others more[y].
     n = game.n
     colours = game.colours
     game_succ = [tuple(dict.fromkeys(ws)) for ws in game.succ]  # duplicate edges count once
@@ -204,9 +205,7 @@ def _solve_exits(
     exit_of: list[dict[int, int]] = [{} for _ in range(n)]
     # rows[v]: for each successor w of v, w's moves row (the row of w's
     # colour; ``take`` extends rows in place) and w's exit map.
-    rows = [
-        [(w, moves[colours[w]], exit_of[w]) for w in ws] for ws in game_succ
-    ]
+    rows = [[(w, moves[colours[w]], exit_of[w]) for w in ws] for ws in game_succ]
     vertex_of = list(game.vertices())
     state_of = []
     for v in vertex_of:
@@ -216,19 +215,11 @@ def _solve_exits(
             q2 = row[initial] = take(initial, colours[v])
         exit_of[v][q2] = v
         state_of.append(q2)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    reached = {initial: (1 << n) - 1}
-    positions = n
+    first = [-1] * n
+    more: dict[int, list[int]] = {}
+    reached = {initial: (1 << n) - 1}  # reached[q]: the vertices w of positions (w, q) met
     for x, (v, q) in enumerate(zip(vertex_of, state_of)):  # the lists grow while this runs
-        seen = reached.get(q, 0)
-        new = succ_mask[v] & ~seen
-        if new:
-            positions += new.bit_count()
-            if positions > cap:
-                raise ResourceCapError(
-                    f"product exceeds cap of {cap} positions (bounds {bounds})"
-                )
-            reached[q] = seen | new
+        reached[q] = reached.get(q, 0) | succ_mask[v]
         if q == won:
             continue
         for w, row, exits in rows[v]:
@@ -237,24 +228,35 @@ def _solve_exits(
                 q2 = row[q] = take(q, colours[w])
             y = exits.get(q2)
             if y is None:
-                exits[q2] = len(preds)
+                exits[q2] = len(first)
                 vertex_of.append(w)
                 state_of.append(q2)
-                preds.append([x])
+                first.append(x)
             else:
-                preds[y].append(x)
+                more.setdefault(y, []).append(x)
+        if len(first) > cap:  # each exit has a position of its own in reached
+            break
+    positions = sum(vs.bit_count() for vs in reached.values())
+    if positions > cap:
+        raise ResourceCapError(f"product exceeds cap of {cap} positions (bounds {bounds})")
 
     # Backward induction over the exits (successor-closed), one countdown
     # per exit: an exit wins once its countdown reaches 0.  WON exits start
     # at 0, Even exits at 1 (one winning successor) and Odd exits at their
-    # number of successors (all of them winning).  Every exit is in the
-    # predecessor list of each of its successors once, so an exit joins
-    # the queue once.
+    # number of successors (all of them winning).  An exit is a predecessor
+    # of each successor once, so it joins the queue once.  The start exits'
+    # first predecessor -1 reads the extra slot count[-1], which stays < 0.
     need = [1 if o == EVEN else len(ws) for o, ws in zip(game.owners, game_succ)]
     count = [0 if q == won else need[v] for v, q in zip(vertex_of, state_of)]
     queue = [x for x, c in enumerate(count) if not c]
+    count.append(-1)
     for t in queue:  # the queue grows while this runs
-        for x in preds[t]:
+        x = first[t]
+        c = count[x] - 1
+        count[x] = c
+        if not c:
+            queue.append(x)
+        for x in more.get(t, ()):
             c = count[x] - 1
             count[x] = c
             if not c:

@@ -269,6 +269,14 @@ def test_diff_agrees_and_emits_csv(capsys):
     assert all(line.endswith("True") for line in lines[1:])
 
 
+def test_gen_and_diff_with_a_degree_above_n_exit_2(capsys):
+    for command in (["gen"], ["diff", "--seeds", "0..1"]):
+        code, out, err = run(capsys, *command, "--n", "2", "--max-colour", "2", "--deg", "3..5")
+        assert code == 2, command
+        assert out == ""
+        assert err == "error: out-degree at least 3 needs at least 3 vertices, got n=2\n"
+
+
 def test_diff_bad_seed_range_exits_2(capsys):
     code, _, err = run(capsys, "diff", "--seeds", "5..1")
     assert code == 2

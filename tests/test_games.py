@@ -198,6 +198,14 @@ def test_generate_random_is_deterministic_and_in_bounds():
     assert generate_random(9, 5, (2, 3), seed=5) != a
 
 
+def test_generate_random_rejects_a_degree_above_n():
+    with pytest.raises(ValueError, match="out-degree at least 3 .* n=2"):
+        generate_random(2, 2, (3, 5), seed=0)
+    # A degree range reaching past n is cut at n, as before.
+    g = generate_random(2, 2, (2, 5), seed=0)
+    assert g.succ == ((0, 1), (0, 1))
+
+
 def test_random_play_follows_edges():
     g = generate_random(6, 4, (1, 3), seed=0)
     play = random_play(g, 20, seed=3)

@@ -316,6 +316,27 @@ def test_product_cap_admits_exactly_the_product(g, e, variants, kind):
             solve_product(norm, aut, cap=positions - 1)
 
 
+def test_product_cap_fails_before_exploring_the_product():
+    # Exploration stops once the exits outnumber the cap: each expanded
+    # exit fills at most one step-memo entry per successor (out-degree at
+    # most 3 here), and the start exits at most n more.
+    norm, _ = normalize_colours(ABOVE_CAP_BASIC_GAME)
+    aut = SepAutomaton(bounds_for_game(norm, ABOVE_CAP_E), UpdateVariant.CLASSIC)
+    cap = 50
+
+    def steps_taken():
+        return sum(q >= 0 for row in automata.step_memo(aut)[2].values() for q in row)
+
+    automata.step_memo.cache_clear()
+    with pytest.raises(ResourceCapError, match=f"cap of {cap} positions"):
+        solve_product(norm, aut, cap=cap)
+    assert steps_taken() <= 3 * (cap + 1) + norm.n
+    stats: dict = {}
+    solve_product(norm, aut, stats=stats)
+    assert stats["product_positions"] == 10368
+    assert steps_taken() > 10 * (3 * (cap + 1) + norm.n)
+
+
 def test_product_within_the_table_cap_enumerates_only_for_the_rank_table(monkeypatch):
     # Basic steps go through the step memo, which enumerates nothing;
     # antagonistic steps read the rank table.  Neither goes through the
@@ -350,6 +371,10 @@ def _product_oracle_games():
     yield game([ODD, ODD, EVEN], [4, 3, 2], [[0], [1, 2], [2, 1]])  # self-loops
     yield game([ODD, EVEN, EVEN], [3, 2, 1], [[1, 1, 1], [0, 2], [1]])  # one Odd successor
     yield game([ODD, EVEN, ODD], [2, 1, 4], [[2, 2], [0, 1], [1]])  # one Odd successor
+    # Colour 3 resets every state, so the start exit of vertex 0 is also
+    # the exit of the later positions (0, q).  A start exit has no first
+    # predecessor, so all of its predecessors are extra ones.
+    yield game([ODD, EVEN], [3, 2], [[1], [1, 0]])
     for seed in range(40):
         yield generate_random(3 + seed % 6, 2 + seed % 5, (1, 3), 100 + seed)
 
