@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable
 
 from .errors import ResourceCapError
 from .games import ParityGame
 from .updates import UpdateVariant, _kernels, antagonistic_update, capped_update
-from .witnesses import WON, Bounds, State, witness_value
+from .witnesses import WON, Bounds, State, last_bounds_cache, witness_value
 
 
 class UpdateKind(enum.Enum):
@@ -72,18 +71,18 @@ CONSTRUCTIVE_STEP_CAP = 10_000
 StepMemo = tuple[list[State], dict[State, int], dict[int, list[int]], Callable[[int, int], int]]
 
 
-@lru_cache(maxsize=len(UpdateVariant) * len(UpdateKind))
-def step_memo(automaton: SepAutomaton) -> StepMemo:
-    """The automaton's steps on interned state ids, as ``(states,
-    state_id, moves, take)``.
+@last_bounds_cache
+def step_memo(bounds: Bounds, variant: UpdateVariant, kind: UpdateKind) -> StepMemo:
+    """The steps of ``SepAutomaton(bounds, variant, kind)`` on interned
+    state ids, as ``(states, state_id, moves, take)``.
 
     States get ids on first sight, WON and the initial state first:
     ``states[q]`` is the state of id ``q`` and ``state_id`` its inverse.
     ``moves[d][q]`` is the id after reading ``d`` in state ``q``, or -1
     until the caller stores ``take(q, d)`` there; the rows double in
     length whenever the ids outgrow them.  Only the states reached are
-    ever built, at every statespace size.  The memo is kept for the last
-    Bounds used, so solves that share Bounds share their steps.
+    ever built, at every statespace size.  The last Bounds' memos are
+    kept, so solves that share Bounds share their steps.
     Antagonistic steps (the constructive update: only solves above the
     table cap step here) are computed at most ``CONSTRUCTIVE_STEP_CAP``
     times per memo; the next one raises ResourceCapError and clears this
@@ -94,24 +93,24 @@ def step_memo(automaton: SepAutomaton) -> StepMemo:
     it is then kept as an alias of WON's id, as ``capped_update`` maps it
     to WON.
     """
-    b = automaton.bounds
+    automaton = SepAutomaton(bounds, variant, kind)
     states: list[State] = []
     state_id: dict[State, int] = {}
-    moves: dict[int, list[int]] = {d: [-1] * 64 for d in b.colours}
+    moves: dict[int, list[int]] = {d: [-1] * 64 for d in bounds.colours}
 
     def intern(s: State) -> int:
         q = state_id.get(s)
         if q is None:
             q = state_id[s] = len(states)
             states.append(s)
-            if q == len(moves[b.min_colour]):
+            if q == len(moves[bounds.min_colour]):
                 for row in moves.values():
                     row.extend([-1] * q)
         return q
 
     won = intern(WON)
     intern(automaton.initial)
-    if automaton.kind is UpdateKind.ANTAGONISTIC:
+    if kind is UpdateKind.ANTAGONISTIC:
         taken = 0
 
         def take(q: int, d: int) -> int:
@@ -120,19 +119,19 @@ def step_memo(automaton: SepAutomaton) -> StepMemo:
                 step_memo.cache_clear()
                 raise ResourceCapError(
                     f"antagonistic product exceeds cap of {CONSTRUCTIVE_STEP_CAP} "
-                    f"constructive steps (bounds {b})"
+                    f"constructive steps (bounds {bounds})"
                 )
             taken += 1
             return intern(automaton.step(states[q], d))
 
     else:
-        kernels = _kernels(b, automaton.variant)
+        kernels = _kernels(bounds, variant)
 
         def take(q: int, d: int) -> int:
             out = kernels[d](states[q])
             q2 = state_id.get(out)
             if q2 is None:
-                q2 = state_id[out] = won if witness_value(out) > b.e else intern(out)
+                q2 = state_id[out] = won if witness_value(out) > bounds.e else intern(out)
             return q2
 
     return states, state_id, moves, take

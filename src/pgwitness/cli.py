@@ -100,7 +100,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     word = _parse_colours(args.colours)
-    max_colour = args.max_colour if args.max_colour else max(word)
+    max_colour = max(word) if args.max_colour is None else args.max_colour
     if max(word) > max_colour:
         raise ValueError("--max-colour below a colour in the word")
     bounds = Bounds(max_colour=max_colour, e=args.e, min_colour=args.min_colour)

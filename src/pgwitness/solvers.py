@@ -157,7 +157,7 @@ def solve_product(
     if automaton.kind is UpdateKind.ANTAGONISTIC:
         table = rank_table(b, automaton.variant)
     if table is None:
-        _, state_id, moves, take = step_memo(automaton)
+        _, state_id, moves, take = step_memo(b, automaton.variant, automaton.kind)
         won, initial = state_id[WON], state_id[automaton.initial]
     else:  # the columns are full, so nothing is ever taken
         space, rank, moves = table

@@ -18,7 +18,6 @@ form is not; monotonicity is what value iteration needs.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import Callable
 
 from .errors import InternalInvariantError
@@ -31,6 +30,7 @@ from .witnesses import (
     Witness,
     _statespace,
     entry_key,
+    last_bounds_cache,
     state_key,
     statespace_size,
     witness_value,
@@ -219,12 +219,12 @@ def _unchanged(w: Witness) -> State:
     return w
 
 
-@lru_cache(maxsize=len(UpdateVariant))
+@last_bounds_cache
 def _kernels(bounds: Bounds, variant: UpdateVariant) -> dict[int, Kernel]:
     """``variant``'s raw rules for ``bounds``, one kernel per colour:
-    ``kernels[d](w)`` is the state after reading ``d`` in ``w``.  Kept for
-    the last Bounds only; callers fetch them once per column, memo or
-    constructive call, as hashing a Bounds is not free.
+    ``kernels[d](w)`` is the state after reading ``d`` in ``w``.  Kept,
+    like every per-Bounds cache, for the last Bounds used; callers fetch
+    them once per column, memo or constructive call.
 
     Every rule set resets on the greatest colour when it is odd.  No
     state holds colour 1 (see ``Bounds.statespace_entries``), so no rule
@@ -272,12 +272,8 @@ def capped_update(s: State, d: int, bounds: Bounds, variant: UpdateVariant) -> S
 
 RankTable = tuple[tuple[Witness, ...], dict[Witness, int], dict[int, list[int]]]
 
-# The per-Bounds caches below keep one Bounds' worth of entries: the
-# statespaces the rule sets run on, or the rule sets themselves.
-_UPDATE_SPACES = frozenset(space_variant_for(v) for v in UpdateVariant)
 
-
-@lru_cache(maxsize=len(_UPDATE_SPACES))
+@last_bounds_cache
 def _ranked_space(
     bounds: Bounds, variant: StatespaceVariant
 ) -> tuple[tuple[Witness, ...], dict[Witness, int], list[int], list[int]]:
@@ -285,33 +281,22 @@ def _ranked_space(
     block ends the enumeration recorded (see ``Statespace``), and
     ``ranks``: the rank dict's own int objects in rank order, then
     ``len(space)`` for WON.  Columns store ranks taken from ``ranks`` or
-    the rank dict, so they hold no int objects of their own.
-    One entry per statespace: concise and colour rules share theirs."""
+    the rank dict, so they hold no int objects of their own.  One entry
+    per statespace of the last Bounds: concise and colour share theirs."""
     space = _statespace(bounds, variant)
     rank = {c: i for i, c in enumerate(space)}
     return space, rank, space.ends.tolist(), [*rank.values(), len(space)]
 
 
-@lru_cache(maxsize=1)
-def _column_store(bounds: Bounds) -> dict[tuple[UpdateVariant, int], list[int]]:
-    """The antagonistic columns built for ``bounds``, keyed by (rule set,
-    colour); kept for the last Bounds only."""
-    return {}
-
-
+@last_bounds_cache
 def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
     """The antagonistic column of colour ``d`` under ``variant``'s rules,
     built on first use (see ``_antagonistic_table``)."""
-    store = _column_store(bounds)
-    col = store.get((variant, d))
-    if col is not None:
-        return col
     space, rank, ends, ranks = _ranked_space(bounds, space_variant_for(variant))
     kernel = _kernels(bounds, variant)[d]
     if kernel is _unchanged:
         # Every state's outcome is itself, so the suffix minima are the
         # ranks.
-        store[variant, d] = ranks
         return ranks
     won = len(space)
     odd = d & 1
@@ -383,11 +368,10 @@ def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
             if v > right:
                 v = right
         col[h + 1 : end] = [v] * (end - h - 1)
-    store[variant, d] = col
     return col
 
 
-@lru_cache(maxsize=len(UpdateVariant))
+@last_bounds_cache
 def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     """The antagonistic update over statespace ranks, as ``(space, rank,
     columns)``.
@@ -464,10 +448,10 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     and the leaves of ``h`` are all there or none is).  So colour 2
     evaluates one leaf per run.
 
-    Each column is built once per Bounds and rule set (``_column``), and
-    the COLOUR table reads the CONCISE column, the same list, for every
-    odd colour and for colour 2, because there the two rule sets give
-    the same state on every concise state ``w``.  Concise states have
+    ``_column`` keeps the last Bounds' columns, by rule set and colour,
+    and the COLOUR table reads the CONCISE column, the same list, for
+    every odd colour and for colour 2, because there the two rule sets
+    give the same state on every concise state ``w``.  Concise states have
     non-increasing entries, repeat no odd colour, never hold colour 1,
     and hold no odd entry at position 0 (the last index).  For odd ``d``
     (below the greatest colour; both rule sets reset on that one):

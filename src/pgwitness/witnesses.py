@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import enum
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Union
+from functools import wraps
+from typing import Callable, Union
 
 from .counting import count_classic_by_value, count_concise_by_value, count_monotone_seqs
 from .errors import ResourceCapError
@@ -225,9 +226,40 @@ class Statespace(tuple):
     ends: array
 
 
-# One Bounds' worth: solves read the statespaces of one Bounds at a time,
-# and a statespace can run to hundreds of thousands of tuples.
-@lru_cache(maxsize=len(StatespaceVariant))
+CacheInfo = namedtuple("CacheInfo", "misses currsize")
+# The Bounds whose entries the per-Bounds caches hold, and those caches.
+_cached_bounds: Bounds | None = None
+_caches: list[dict] = []
+
+
+def last_bounds_cache(fn: Callable) -> Callable:
+    """Cache ``fn(bounds, *args)`` for the last Bounds that any cache made
+    here saw: solves read one Bounds at a time, and statespaces run to
+    hundreds of thousands of tuples.  Another Bounds empties every cache
+    first.  ``cache_clear()`` empties this one; misses never go down."""
+    cache: dict = {}
+    _caches.append(cache)
+    misses = 0
+
+    @wraps(fn)
+    def cached(bounds, *args):
+        global _cached_bounds
+        nonlocal misses
+        if bounds is not _cached_bounds and bounds != _cached_bounds:
+            for c in _caches:
+                c.clear()
+            _cached_bounds = bounds
+        if args not in cache:
+            misses += 1
+            cache[args] = fn(bounds, *args)
+        return cache[args]
+
+    cached.cache_info = lambda: CacheInfo(misses, len(cache))
+    cached.cache_clear = cache.clear
+    return cached
+
+
+@last_bounds_cache
 def _statespace(bounds: Bounds, variant: StatespaceVariant) -> Statespace:
     # Entries are tried in the entry order, most significant position
     # first, so states come out already sorted.  Choosing a non-Blank

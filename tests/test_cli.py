@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from pgwitness import automata
 from pgwitness.cli import main
 from pgwitness.games import generate_random, serialize_pgsolver
@@ -149,9 +151,11 @@ def test_trace_rejected(capsys):
     assert out.endswith("REJECTED\n")
 
 
-def test_trace_colour_above_max_exits_2(capsys):
+@pytest.mark.parametrize("colours, max_colour", [("9", "4"), ("2,1", "0")])
+def test_trace_colour_above_max_exits_2(capsys, colours, max_colour):
+    # --max-colour 0 is a value given, not the default.
     code, _, err = run(
-        capsys, "trace", "--colours", "9", "--max-colour", "4", "--e", "2"
+        capsys, "trace", "--colours", colours, "--max-colour", max_colour, "--e", "2"
     )
     assert code == 2
     assert "max-colour" in err

@@ -271,13 +271,12 @@ def test_antagonistic_products_above_the_table_cap_fail_fast():
     # the memo.
     classic, antagonistic = UpdateVariant.CLASSIC, UpdateKind.ANTAGONISTIC
     bounds = bounds_for_game(normalize_colours(ABOVE_CAP_GAME)[0], ABOVE_CAP_E)
-    automaton = SepAutomaton(bounds, classic, antagonistic)
 
     def pinned_product_steps():
         stats: dict = {}
         solve(ABOVE_CAP_GAME, "product", classic, antagonistic, ABOVE_CAP_E, stats=stats)
         assert stats["product_positions"] == 983
-        moves = automata.step_memo(automaton)[2]
+        moves = automata.step_memo(bounds, classic, antagonistic)[2]
         return sum(q >= 0 for row in moves.values() for q in row)
 
     assert automata.CONSTRUCTIVE_STEP_CAP == 10_000
@@ -325,7 +324,8 @@ def test_product_cap_fails_before_exploring_the_product():
     cap = 50
 
     def steps_taken():
-        return sum(q >= 0 for row in automata.step_memo(aut)[2].values() for q in row)
+        moves = automata.step_memo(aut.bounds, aut.variant, aut.kind)[2]
+        return sum(q >= 0 for row in moves.values() for q in row)
 
     automata.step_memo.cache_clear()
     with pytest.raises(ResourceCapError, match=f"cap of {cap} positions"):

@@ -58,3 +58,50 @@ def test_tracer_installs_and_traces_lifting_and_product_solves():
     assert out["spans"]["games.normalize"] == 3
     assert out["shared"] == [1, 2, 3]
     assert out["stats"]["lifts"] > 0 and out["stats"]["product_positions"] > 0
+
+
+SWITCH_CHILD = """
+import json, sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import pgwitness
+import pgwitness.cli
+from tracing import Tracer
+
+statespace = pgwitness.witnesses._statespace
+tracer = Tracer()
+tracer.install(pgwitness)
+concise = pgwitness.StatespaceVariant.CONCISE
+# Two solves with their own Bounds, then one statespace of a third: the
+# enumeration switches the Bounds inside the traced call itself.
+built, misses = [], [statespace.cache_info().misses]
+for seed, max_colour in ((0, 4), (1, 6)):
+    game = pgwitness.generate_random(12, max_colour, (1, 3), seed)
+    pgwitness.solve(
+        game, "lifting", pgwitness.UpdateVariant.CONCISE, pgwitness.UpdateKind.ANTAGONISTIC
+    )
+    built.append((pgwitness.automata.bounds_for_game(pgwitness.normalize_colours(game)[0]), concise))
+    misses.append(statespace.cache_info().misses)
+built.append((pgwitness.Bounds(max_colour=8, e=30), pgwitness.StatespaceVariant.ORIGINAL_LENGTH))
+pgwitness.enumerate_statespace(*built[-1])
+misses.append(statespace.cache_info().misses)
+print(json.dumps({{
+    "bounds": len(set(b for b, _ in built)),
+    "misses": misses,
+    "states": tracer.counts.get("witnesses.states", 0),
+    "sizes": sum(pgwitness.witnesses.statespace_size(*key) for key in built),
+}}))
+"""
+
+
+def test_tracer_counts_every_enumeration_across_a_bounds_switch():
+    code = SWITCH_CHILD.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert out["bounds"] == 3
+    # Emptying the caches on a new Bounds keeps the miss count, so each
+    # statespace built is one miss, and the tracer counts its states.
+    assert out["misses"] == [0, 1, 2, 3]
+    assert out["states"] == out["sizes"]

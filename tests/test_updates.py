@@ -30,7 +30,7 @@ from pgwitness.updates import (
     ANTAGONISTIC_TABLE_CAP,
     UpdateVariant,
     _antagonistic_table,
-    _column_store,
+    _column,
     _kernels,
     _ranked_space,
     antagonistic_update,
@@ -565,7 +565,7 @@ def test_a_cold_table_build_evaluates_the_rules_this_often(
 
     monkeypatch.setattr(updates, "_kernels", counted)
     _antagonistic_table.cache_clear()
-    _column_store.cache_clear()
+    _column.cache_clear()
     _antagonistic_table(bounds, variant)
     assert (sum(calls.values()), calls[2]) == (total, colour_2)
     # At most one evaluation per leaf run on colour 2, so never more than
@@ -593,7 +593,7 @@ def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
     bounds = Bounds(9, e)
     assert bounds_for_game(normalize_colours(g)[0], e) == bounds
     _antagonistic_table.cache_clear()
-    _column_store.cache_clear()
+    _column.cache_clear()
 
     def rules_run_by(variant):
         """The colours whose columns each rule set's kernels built in a
@@ -612,7 +612,7 @@ def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
     # Cold, a colour solve builds the shared columns with the concise
     # rules and no concise column of an even colour from 4 up.
     _antagonistic_table.cache_clear()
-    _column_store.cache_clear()
+    _column.cache_clear()
     assert rules_run_by(COLOUR) == {CONCISE: shared, COLOUR: every - shared}
     assert rules_run_by(CONCISE) == {CONCISE: every - shared, COLOUR: set()}
 
@@ -624,7 +624,7 @@ def test_memo_basic_steps_equal_the_capped_update(bounds):
     # Every state of these statespaces is reached from the initial one,
     # so closing the memo under every colour steps from each of them.
     for variant in UpdateVariant:
-        states, state_id, _, take = step_memo(SepAutomaton(bounds, variant))
+        states, state_id, _, take = step_memo(bounds, variant, UpdateKind.BASIC)
         won = state_id[WON]
         steps = {}
         q = state_id[bounds.blank_witness()]
@@ -650,9 +650,7 @@ def test_memo_basic_steps_equal_the_capped_update(bounds):
 
 
 def test_statespace_ranks_and_step_memos_are_cached_per_statespace_and_bounds():
-    b, other = Bounds(9, 37), Bounds(9, 38)
-    worth = len(UpdateVariant) * len(UpdateKind)
-    assert step_memo.cache_info().maxsize == worth
+    b = Bounds(9, 37)
     ranked = _ranked_space.cache_info().misses
     tables = {variant: rank_table(b, variant) for variant in UpdateVariant}
     # One (space, rank, ends) entry per statespace: concise and colour share one.
@@ -666,57 +664,91 @@ def test_statespace_ranks_and_step_memos_are_cached_per_statespace_and_bounds():
         assert bounds_for_game(normalize_colours(game)[0], 37) == b
     solve(g, "product", CONCISE, UpdateKind.BASIC, 37)
     misses = step_memo.cache_info().misses
-    memo = step_memo(SepAutomaton(b, CONCISE))
+    memo = step_memo(b, CONCISE, UpdateKind.BASIC)
     solve(h, "product", CONCISE, UpdateKind.BASIC, 37)
     assert step_memo.cache_info().misses == misses
-    # A new Bounds evicts the least recently used memos.
-    memos = {(v, k): step_memo(SepAutomaton(b, v, k)) for v in UpdateVariant for k in UpdateKind}
-    step_memo(SepAutomaton(b, CONCISE))
-    step_memo(SepAutomaton(other, CLASSIC))
-    assert step_memo.cache_info().currsize == worth
-    assert step_memo(SepAutomaton(b, CONCISE)) is memo
-    assert step_memo(SepAutomaton(b, CLASSIC)) is not memos[CLASSIC, UpdateKind.BASIC]
+    assert step_memo(b, CONCISE, UpdateKind.BASIC) is memo
+    # A new Bounds drops the memos and tables of the old one.
+    step_memo(Bounds(9, 38), CLASSIC, UpdateKind.BASIC)
+    assert step_memo.cache_info() == (misses + 1, 1)
+    assert _ranked_space.cache_info().currsize == 0
+    assert step_memo(b, CONCISE, UpdateKind.BASIC) is not memo
+
+
+PER_BOUNDS_CACHES = (
+    witnesses._statespace,
+    _ranked_space,
+    _column,
+    _antagonistic_table,
+    _kernels,
+    step_memo,
+)
+
+
+def solved_entries(bounds):
+    """The arguments of every entry the per-Bounds caches hold after
+    lifting and basic product solves of every rule set with ``bounds``."""
+    spaces = [(bounds, space) for space in set(map(space_variant_for, UpdateVariant))]
+    return {
+        witnesses._statespace: spaces,
+        _ranked_space: spaces,
+        # Every colour under the classic and concise rules, and the even
+        # colours from 4 up under the colour rules: the colour table
+        # reads the concise columns of the others.
+        _column: [(bounds, variant, d) for variant in (CLASSIC, CONCISE) for d in bounds.colours]
+        + [(bounds, COLOUR, d) for d in bounds.colours if d % 2 == 0 and d > 2],
+        _antagonistic_table: [(bounds, variant) for variant in UpdateVariant],
+        _kernels: [(bounds, variant) for variant in UpdateVariant],
+        step_memo: [(bounds, variant, UpdateKind.BASIC) for variant in UpdateVariant],
+    }
+
+
+def solve_every_rule_set(g, e):
+    for variant in UpdateVariant:
+        for algo, kind in (("lifting", UpdateKind.ANTAGONISTIC), ("product", UpdateKind.BASIC)):
+            solve(g, algo, variant, kind, e)
+    return bounds_for_game(normalize_colours(g)[0], e)
+
+
+def assert_caches_hold_exactly(entries):
+    for cache, args in entries.items():
+        info = cache.cache_info()
+        assert info.currsize == len(args), cache.__name__
+        for a in args:
+            cache(*a)
+        assert cache.cache_info() == info, cache.__name__
 
 
 def test_per_bounds_caches_keep_one_bounds_worth():
-    # Eight solves of every configuration, each with its own Bounds.
+    # Eight solves of every configuration, each with its own Bounds: after
+    # each, every cache holds that Bounds' entries alone.
     g = generate_random(12, 6, (1, 3), 0)
-    caches = {
-        witnesses._statespace: len(StatespaceVariant),
-        updates._ranked_space: 2,
-        _antagonistic_table: len(UpdateVariant),
-        _column_store: 1,
-        _kernels: len(UpdateVariant),
-        step_memo: len(UpdateVariant) * len(UpdateKind),
-    }
     for e in range(g.even_vertex_count, g.even_vertex_count + 8):
-        for variant in UpdateVariant:
-            for algo, kind in (("lifting", UpdateKind.ANTAGONISTIC), ("product", UpdateKind.BASIC)):
-                solve(g, algo, variant, kind, e)
-        for cache, worth in caches.items():
-            assert cache.cache_info().maxsize == worth, cache.__name__
-            assert cache.cache_info().currsize <= worth, cache.__name__
-    # The entries kept are the last Bounds' ones.
-    bounds = Bounds(max_colour=6, e=e)
-    misses = {cache: cache.cache_info().misses for cache in caches}
-    for variant in UpdateVariant:
-        space = space_variant_for(variant)
-        for cache in (witnesses._statespace, _ranked_space):
-            cache(bounds, space)
-        _antagonistic_table(bounds, variant)
-        _kernels(bounds, variant)
-        step_memo(SepAutomaton(bounds, variant))
-    store = _column_store(bounds)
-    assert {cache: cache.cache_info().misses for cache in caches} == misses
-    # The column store holds the last Bounds' columns, every colour under
-    # the classic and concise rules and the even ones from 4 up under the
-    # colour rules; a new Bounds evicts them.
-    assert set(store) == {
-        (variant, d) for variant in (CLASSIC, CONCISE) for d in bounds.colours
-    } | {(COLOUR, d) for d in bounds.colours if d % 2 == 0 and d > 2}
-    _antagonistic_table(Bounds(max_colour=6, e=e + 1), CONCISE)
-    assert _column_store.cache_info().currsize == 1
-    assert _column_store(bounds) is not store
+        misses = [cache.cache_info().misses for cache in PER_BOUNDS_CACHES]
+        bounds = solve_every_rule_set(g, e)
+        assert bounds == Bounds(max_colour=6, e=e)
+        assert_caches_hold_exactly(solved_entries(bounds))
+        # Emptying the caches on a new Bounds keeps their miss counts.
+        assert all(
+            cache.cache_info().misses >= before
+            for cache, before in zip(PER_BOUNDS_CACHES, misses)
+        )
+    # A call with another Bounds empties every cache before computing.
+    _kernels(Bounds(max_colour=6, e=e + 1), CONCISE)
+    assert [cache.cache_info().currsize for cache in PER_BOUNDS_CACHES] == [0, 0, 0, 0, 1, 0]
+
+
+def test_enumerations_of_other_bounds_leave_nothing_behind_a_solve():
+    # Three statespaces of three Bounds, then solves with a fourth: only
+    # the fourth Bounds' entries stay, two statespaces among them.
+    for bounds, space in zip(
+        (Bounds(10, 40), Bounds(12, 20), Bounds(8, 90)), StatespaceVariant
+    ):
+        enumerate_statespace(bounds, space)
+    g = generate_random(20, 8, (1, 3), 4)
+    bounds = solve_every_rule_set(g, g.even_vertex_count + 3)
+    assert witnesses._statespace.cache_info().currsize == 2
+    assert_caches_hold_exactly(solved_entries(bounds))
 
 
 def test_space_variant_mapping():
