@@ -197,17 +197,22 @@ def _solve_exits(
     # number of (v, q); 0..n-1 are the start exits) and expanded in that
     # order, breadth first: expanding x = (v, q) makes x a predecessor of
     # the exits (w, q2) of its successor positions (w, q).  Exit y's first
-    # predecessor is first[y] (-1 for a start exit), any others more[y].
+    # predecessor is first[y] (-1 for a start exit), any others more[y]
+    # (None until it has a second).  Each exit's countdown is set when it
+    # is found (see below), and WON exits join the queue then.
     n = game.n
     colours = game.colours
     game_succ = [tuple(dict.fromkeys(ws)) for ws in game.succ]  # duplicate edges count once
     succ_mask = [sum(1 << w for w in ws) for ws in game_succ]
+    need = [1 if o == EVEN else len(ws) for o, ws in zip(game.owners, game_succ)]
     exit_of: list[dict[int, int]] = [{} for _ in range(n)]
     # rows[v]: for each successor w of v, w's moves row (the row of w's
     # colour; ``take`` extends rows in place) and w's exit map.
     rows = [[(w, moves[colours[w]], exit_of[w]) for w in ws] for ws in game_succ]
     vertex_of = list(game.vertices())
     state_of = []
+    count = []
+    queue = []
     for v in vertex_of:
         row = moves[colours[v]]
         q2 = row[initial]
@@ -215,8 +220,13 @@ def _solve_exits(
             q2 = row[initial] = take(initial, colours[v])
         exit_of[v][q2] = v
         state_of.append(q2)
+        if q2 == won:
+            count.append(0)
+            queue.append(v)
+        else:
+            count.append(need[v])
     first = [-1] * n
-    more: dict[int, list[int]] = {}
+    more: list[list[int] | None] = [None] * n
     reached = {initial: (1 << n) - 1}  # reached[q]: the vertices w of positions (w, q) met
     for x, (v, q) in enumerate(zip(vertex_of, state_of)):  # the lists grow while this runs
         reached[q] = reached.get(q, 0) | succ_mask[v]
@@ -228,12 +238,20 @@ def _solve_exits(
                 q2 = row[q] = take(q, colours[w])
             y = exits.get(q2)
             if y is None:
-                exits[q2] = len(first)
+                y = exits[q2] = len(first)
                 vertex_of.append(w)
                 state_of.append(q2)
                 first.append(x)
+                more.append(None)
+                if q2 == won:
+                    count.append(0)
+                    queue.append(y)
+                else:
+                    count.append(need[w])
+            elif more[y] is None:
+                more[y] = [x]
             else:
-                more.setdefault(y, []).append(x)
+                more[y].append(x)
         if len(first) > cap:  # each exit has a position of its own in reached
             break
     positions = sum(vs.bit_count() for vs in reached.values())
@@ -246,9 +264,6 @@ def _solve_exits(
     # number of successors (all of them winning).  An exit is a predecessor
     # of each successor once, so it joins the queue once.  The start exits'
     # first predecessor -1 reads the extra slot count[-1], which stays < 0.
-    need = [1 if o == EVEN else len(ws) for o, ws in zip(game.owners, game_succ)]
-    count = [0 if q == won else need[v] for v, q in zip(vertex_of, state_of)]
-    queue = [x for x, c in enumerate(count) if not c]
     count.append(-1)
     for t in queue:  # the queue grows while this runs
         x = first[t]
@@ -256,11 +271,13 @@ def _solve_exits(
         count[x] = c
         if not c:
             queue.append(x)
-        for x in more.get(t, ()):
-            c = count[x] - 1
-            count[x] = c
-            if not c:
-                queue.append(x)
+        xs = more[t]
+        if xs is not None:
+            for x in xs:
+                c = count[x] - 1
+                count[x] = c
+                if not c:
+                    queue.append(x)
     return [c <= 0 for c in count[:n]], positions
 
 

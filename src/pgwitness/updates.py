@@ -276,23 +276,33 @@ RankTable = tuple[tuple[Witness, ...], dict[Witness, int], dict[int, list[int]]]
 @last_bounds_cache
 def _ranked_space(
     bounds: Bounds, variant: StatespaceVariant
-) -> tuple[tuple[Witness, ...], dict[Witness, int], list[int], list[int]]:
+) -> tuple[tuple[Witness, ...], dict[Witness, int], list[int], list[int], list[int]]:
     """The sorted statespace, its inverse ``rank[space[r]] == r``, the
-    block ends the enumeration recorded (see ``Statespace``), and
-    ``ranks``: the rank dict's own int objects in rank order, then
-    ``len(space)`` for WON.  Columns store ranks taken from ``ranks`` or
-    the rank dict, so they hold no int objects of their own.  One entry
-    per statespace of the last Bounds: concise and colour share theirs."""
+    block ends the enumeration recorded (see ``Statespace``), ``ranks``:
+    the rank dict's own int objects in rank order, then ``len(space)``
+    for WON, and ``least``: for each head ``P + (Blank,)`` (see
+    ``_antagonistic_table``) the least entry of ``P``, or ``max_colour |
+    1`` when ``P`` is all Blank, and 0 for the other states.  Columns
+    store ranks taken from ``ranks`` or the rank dict, so they hold no int
+    objects of their own.  One entry per statespace of the last Bounds:
+    concise and colour share theirs."""
     space = _statespace(bounds, variant)
     rank = {c: i for i, c in enumerate(space)}
-    return space, rank, space.ends.tolist(), [*rank.values(), len(space)]
+    top = bounds.max_colour | 1
+    if bounds.length == 1:
+        least = [top] + [0] * (len(space) - 1)
+    else:
+        # Non-Blank entries do not increase, so P's least entry is its
+        # last non-Blank one, most often the entry just before the Blank.
+        least = [(w[-2] or min(filter(None, w), default=top)) if not w[-1] else 0 for w in space]
+    return space, rank, space.ends.tolist(), [*rank.values(), len(space)], least
 
 
 @last_bounds_cache
 def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
     """The antagonistic column of colour ``d`` under ``variant``'s rules,
     built on first use (see ``_antagonistic_table``)."""
-    space, rank, ends, ranks = _ranked_space(bounds, space_variant_for(variant))
+    space, rank, ends, ranks, least = _ranked_space(bounds, space_variant_for(variant))
     kernel = _kernels(bounds, variant)[d]
     if kernel is _unchanged:
         # Every state's outcome is itself, so the suffix minima are the
@@ -301,7 +311,6 @@ def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
     won = len(space)
     odd = d & 1
     below = (d - 1) // 2  # how many of the leaf entries 2, 4, ... are below d
-    single = bounds.length == 1
     col = [won] * (won + 1)
     # Every block popped here starts with a head (a state ending in
     # Blank) followed by its leaves.  The blocks still to fill are (head,
@@ -321,10 +330,13 @@ def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
             right = col[end]
             if floor == right:
                 out = right
-            elif d == 2:
-                # The head reads 2 into its last Blank: its first leaf,
-                # or past the budget when it has none.
-                out = ranks[h + 1] if h + 1 < end and space[h + 1][-1] else won
+            elif least[h] >= d:
+                # No entry of P is below d: stale on an odd colour, and on
+                # an even one the leaf P + (d,).
+                if odd:
+                    out = ranks[h]
+                else:
+                    out = ranks[h + (d >> 1)] if end > h + 1 else won
             else:
                 # A stale rule returns its input itself, which is of rank h.
                 w = space[h]
@@ -338,19 +350,15 @@ def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
                 col[h:end] = [out] * (end - h)
                 continue
             col[h] = out
-            if not (single or space[h][-2]):
-                # Sub-blocks may follow the leaves.
-                c = h + 1
-                while c < end and space[c][-1]:
-                    c += 1
-                if c < end:
-                    if c > h + 1:
-                        todo.append((~h, c))
-                    while c < end:
-                        todo.append((c, out))
-                        c = ends[c]
-                    continue
             if end == h + 1:
+                continue  # no leaves, and so no sub-blocks
+            c = h + 1 + (least[h] >> 1)  # the leaves are h+1 .. c-1
+            if c < end:
+                # Sub-blocks follow the leaves.
+                todo.append((~h, c))
+                while c < end:
+                    todo.append((c, out))
+                    c = ends[c]
                 continue
         # The leaf run h+1 .. end-1, between col[h] == out and col[end] == right.
         if odd:
@@ -401,10 +409,18 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     with ``x = 2, 4, ...`` in order: both statespaces hold no odd entry
     at position 0 (the last index), and the entries allowed there are
     either none or every even entry up to ``P``'s last non-Blank one (up
-    to the greatest, when ``P`` is all Blank).  When ``P`` ends in a
-    non-Blank entry, the block is ``h`` and its leaves.  By the lemma
-    below, each leaf run is filled from at most one rule evaluation, and
-    on an odd colour a head that is not stale fills its whole block.
+    to the greatest, when ``P`` is all Blank).  Non-Blank entries do not
+    increase, so ``P``'s last non-Blank entry is its least, which
+    ``_ranked_space`` records for each head (``max_colour | 1`` for an
+    all-Blank ``P``), and ``h`` has half that many leaves, rounded down,
+    or none.  It has none exactly when its block is ``h`` alone: a
+    non-Blank entry at any position below ``P`` needs an odd entry in
+    ``P`` or room in the budget, and either lets position 0 hold one.
+    When ``P`` ends in a non-Blank entry, the block is ``h`` and its
+    leaves.  By the lemma below, each leaf run is filled from at most
+    one rule evaluation, on an odd colour a head that is not stale fills
+    its whole block, and a head whose ``P`` has no entry below the
+    colour needs no rule evaluated.
     ``h`` is *stale* when its outcome is ``h`` itself.  Colour 1 changes
     no state and has a column of its own; the greatest colour, when odd,
     sends every state to the all-Blank one, where the odd cases are
@@ -438,15 +454,22 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
       rewrite a ``d`` of ``P`` that only Blanks follow.  A leaf with ``x
       > d`` is stale (``P`` then holds no ``d``).  No rule is evaluated:
       the leaves below ``d`` hold ``h``, and a leaf ``j`` above it
-      ``min(j, col[m])``.
-
-    Colour 2 needs no evaluation on a head.  No entry is below 2, so the
-    rules write 2 at the overflow slot, which for ``h`` is its last
-    index: ``h`` goes to ``P + (2,)``, its first leaf ``h+1`` when it has
-    leaves, and otherwise past the budget, to WON (a state with non-Blank
-    position 0 is in the space exactly when its value is at most ``e``,
-    and the leaves of ``h`` are all there or none is).  So colour 2
-    evaluates one leaf per run.
+      ``min(j, col[m])``;
+    * no entry of ``P`` below ``d``: ``h``'s outcome is a rank offset.
+      On an odd ``d`` the classic and concise rules find no index to
+      write at, and the colour rules find at most a ``d`` that only
+      Blanks follow and rewrite it, so ``h`` is stale; for the reset,
+      ``P`` is all Blank and ``h`` resets to itself.  On an even ``d`` the classic overflow slot is
+      ``h``'s last index, which holds Blank, and no entry before it is
+      below ``d``, so no local write comes first; the colour rules find
+      no odd colour below ``d`` and absorb at that same index, raising no
+      entry of ``P`` (each is at least ``d``).  Every rule set gives ``P
+      + (d,)``: the leaf ``h + d/2`` when ``h`` has leaves, since they run
+      through the even entries up to ``P``'s least, and otherwise a state
+      past the budget, WON (a state with non-Blank position 0 is in the
+      space exactly when its value is at most ``e``, and the leaves of
+      ``h`` are all there or none is).  No entry is below 2, so colour 2
+      evaluates no head, and one leaf per run.
 
     ``_column`` keeps the last Bounds' columns, by rule set and colour,
     and the COLOUR table reads the CONCISE column, the same list, for
@@ -475,7 +498,7 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     classic overflow writes the same state; with no such index both
     carry out to WON.
     """
-    space, rank, _, _ = _ranked_space(bounds, space_variant_for(variant))
+    space, rank = _ranked_space(bounds, space_variant_for(variant))[:2]
     columns: dict[int, list[int]] = {}
     for d in bounds.colours:
         shared = variant is UpdateVariant.COLOUR and (d % 2 or d == 2)

@@ -199,9 +199,12 @@ def enumerate_statespace(
     """All structurally valid witnesses, sorted ascending in witness order.
 
     WON is not included.  Raises ResourceCapError, before enumerating
-    anything, when the statespace has more than ``cap`` states.
+    anything, when the statespace has more than ``cap`` states, and
+    ValueError when ``cap`` is negative.
     """
     if cap is not None:
+        if cap < 0:
+            raise ValueError(f"cap {cap} is below 0")
         size = statespace_size(bounds, variant)
         if size > cap:
             raise ResourceCapError(

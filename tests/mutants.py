@@ -1,0 +1,191 @@
+"""Named mutants of the package, each with the tests that must kill it.
+
+Run ``python tests/mutants.py`` from anywhere in a checkout.  For each
+mutant it copies the checkout's ``src``, ``tests`` and
+``pyproject.toml`` into a temporary directory, replaces the mutant's old
+text in its file by the new text, and runs only the mutant's tests there.
+A mutant is killed when those tests fail.  One line is printed per
+mutant, and the exit code is 1 if any mutant survives (or its tests
+could not run), else 0.
+
+``tests/test_mutants.py`` checks in tier-1 that every mutant still
+applies: its old text occurs exactly once in its file, and its tests
+exist.  A change that claims a mutation check adds the mutant here.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+UPDATES = "src/pgwitness/updates.py"
+SOLVERS = "src/pgwitness/solvers.py"
+
+ORACLE = "tests/test_updates.py::test_block_filled_table_equals_the_suffix_minimum_oracle"
+RULE_COUNTS = "tests/test_updates.py::test_a_cold_table_build_evaluates_the_rules_this_often"
+PRODUCT_ORACLE = "tests/test_solvers.py::test_product_matches_the_naive_product_oracle"
+DUPLICATED_SUCCESSOR = (
+    "tests/test_metamorphic.py::test_a_duplicated_successor_changes_no_answer_and_no_count"
+)
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the root of the checkout
+    old: str  # occurs exactly once in ``file``
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the root
+
+
+MUTANTS = (
+    # Heads whose P has no entry below the colour (see _antagonistic_table).
+    Mutant(
+        "head-leaf-one-past-p-plus-d",
+        UPDATES,
+        "out = ranks[h + (d >> 1)] if end > h + 1 else won",
+        "out = ranks[h + (d >> 1) + 1] if end > h + 1 else won",
+        (ORACLE,),
+    ),
+    Mutant(
+        "head-without-leaves-not-won",
+        UPDATES,
+        "out = ranks[h + (d >> 1)] if end > h + 1 else won",
+        "out = ranks[h + (d >> 1)]",
+        (ORACLE,),
+    ),
+    Mutant(
+        "head-rule-only-above-the-colour",
+        UPDATES,
+        "elif least[h] >= d:",
+        "elif least[h] > d:",
+        (RULE_COUNTS,),
+    ),
+    Mutant(
+        "head-rule-taken-one-colour-lower",
+        UPDATES,
+        "elif least[h] >= d:",
+        "elif least[h] >= d - 1:",
+        (ORACLE,),
+    ),
+    Mutant(
+        "all-blank-head-one-leaf-too-many",
+        UPDATES,
+        "top = bounds.max_colour | 1",
+        "top = bounds.max_colour + 2",
+        (ORACLE,),
+    ),
+    Mutant(
+        "least-entry-missed-behind-a-blank",
+        UPDATES,
+        "(w[-2] or min(filter(None, w), default=top))",
+        "(w[-2] or top)",
+        (ORACLE,),
+    ),
+    Mutant(
+        "leaf-run-one-short",
+        UPDATES,
+        "c = h + 1 + (least[h] >> 1)",
+        "c = h + (least[h] >> 1)",
+        (RULE_COUNTS,),
+    ),
+    # Earlier rules of the column fill.
+    Mutant(
+        "stale-leaves-above-d-sent-to-the-head",
+        UPDATES,
+        "a = min(h + 1 + below, end)",
+        "a = end",
+        (ORACLE,),
+    ),
+    Mutant(
+        "squeeze-fills-on-floor-at-most-right",
+        UPDATES,
+        "if floor == right:",
+        "if floor <= right:",
+        (ORACLE,),
+    ),
+    Mutant(
+        "statespace-check-without-the-value-bound",
+        UPDATES,
+        "if not s[-1] & 1 and witness_value(s) <= bounds.e:",
+        "if not s[-1] & 1:",
+        ("tests/test_updates.py::test_the_statespace_check_accepts_exactly_the_enumerated_states",),
+    ),
+    # The product's exits (solvers._solve_exits).
+    Mutant(
+        "second-predecessor-dropped",
+        SOLVERS,
+        "more[y] = [x]",
+        "more[y] = []",
+        (PRODUCT_ORACLE,),
+    ),
+    Mutant(
+        "third-predecessor-replaces-the-second",
+        SOLVERS,
+        "more[y].append(x)",
+        "more[y] = [x]",
+        (PRODUCT_ORACLE,),
+    ),
+    Mutant(
+        "won-exit-found-later-not-queued",
+        SOLVERS,
+        "count.append(0)\n                    queue.append(y)",
+        "count.append(0)",
+        (PRODUCT_ORACLE,),
+    ),
+    Mutant(
+        "odd-countdown-from-the-degree-with-duplicates",
+        SOLVERS,
+        "zip(game.owners, game_succ)",
+        "zip(game.owners, game.succ)",
+        (DUPLICATED_SUCCESSOR,),
+    ),
+    Mutant(
+        "predecessor-lists-repeat-entries",
+        SOLVERS,
+        "game_succ = [tuple(dict.fromkeys(ws)) for ws in game.succ]",
+        "game_succ = [tuple(ws) for ws in game.succ]",
+        (DUPLICATED_SUCCESSOR,),
+    ),
+)
+
+
+def killed(mutant: Mutant) -> bool | None:
+    """Whether the mutant's tests fail on a mutated copy of the checkout;
+    None when they could not run (pytest exit codes other than 0 and 1)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        path = copy / mutant.file
+        text = path.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            return None
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *mutant.tests]
+        code = subprocess.run(cmd, cwd=copy, capture_output=True).returncode
+    return {0: False, 1: True}.get(code)
+
+
+def main() -> int:
+    start = time.perf_counter()
+    survivors = 0
+    for m in MUTANTS:
+        result = killed(m)
+        survivors += result is not True
+        verdict = {True: "killed", False: "SURVIVED", None: "ERROR (tests did not run)"}[result]
+        print(f"{verdict:9} {m.name}", flush=True)
+    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} killed in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -217,6 +217,18 @@ def test_enumerate_cap_exits_3(capsys):
     assert "has 1683 states, above the cap of 10" in err
 
 
+@pytest.mark.parametrize(
+    "cap, code, message",
+    [("-1", 2, "cap -1 is below 0"), ("0", 3, "has 2 states, above the cap of 0")],
+)
+def test_enumerate_negative_cap_exits_2_and_cap_0_is_a_cap(capsys, cap, code, message):
+    rc, out, err = run(
+        capsys, "enumerate", "--variant", "concise", "--max-colour", "2", "--e", "1", "--cap", cap
+    )
+    assert (rc, out) == (code, "")
+    assert message in err
+
+
 def test_count_fixed_table(capsys):
     code, out, _ = run(capsys, "count", "--table", "fixed")
     assert code == 0

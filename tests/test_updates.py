@@ -537,13 +537,59 @@ def test_leaf_runs_follow_the_lemma_on_the_kernels(variant):
     assert pairs > 0
 
 
+@pytest.mark.parametrize("variant", list(UpdateVariant), ids=lambda v: v.value)
+def test_heads_with_no_entry_below_the_colour_follow_the_lemma_on_the_kernels(variant):
+    """The head rule the column fill relies on (see ``_antagonistic_table``),
+    checked on the capped kernels themselves: when no entry of ``P`` is
+    below ``d``, the head ``h = P + (Blank,)`` is stale on an odd ``d``
+    and goes to its leaf ``P + (d,)``, of rank ``h + d/2``, on an even
+    one, or to WON when it has no leaves.  The colour rules rewrite a
+    ``d`` that ends ``P`` into itself, and the resetting greatest colour
+    takes no exception either: only the all-Blank head has no entry
+    below it, and it resets to itself.  The fill reads the least entry
+    from ``_ranked_space``, with ``max_colour | 1`` for an all-Blank
+    ``P``, and half of it as the number of leaves when the head's block
+    holds more than the head.  Leaves are found by their shared ``P``,
+    blocks by the neighbour comparison."""
+    heads = {"odd": 0, "leaf": 0, "won": 0}
+    for b in SWEEP + BENCHMARK_BOUNDS:
+        kernels = _kernels(b, variant)
+        space = update_space(b, variant)
+        ends = block_ends_by_neighbours(space)
+        recorded = _ranked_space(b, space_variant_for(variant))[4]
+        for r, h in enumerate(space):
+            if h[-1] != B:
+                continue
+            least = min([x for x in h if x != B], default=b.max_colour | 1)
+            assert recorded[r] == least, (b, h)
+            m = r + 1
+            while m < len(space) and space[m][:-1] == h[:-1]:
+                m += 1
+            leaves = m - r - 1
+            assert leaves == (least >> 1 if ends[r] > r + 1 else 0), (b, h)
+            for d in b.colours:
+                if least < d:
+                    continue
+                out = updates._capped(kernels[d], h, b.e)
+                if d % 2:
+                    assert out == h, (b, h, d)
+                    heads["odd"] += 1
+                elif leaves:
+                    assert out == space[r + d // 2] == h[:-1] + (d,), (b, h, d)
+                    heads["leaf"] += 1
+                else:
+                    assert out is WON, (b, h, d)
+                    heads["won"] += 1
+    assert min(heads.values()) > 0, heads
+
+
 @pytest.mark.parametrize(
     "bounds, variant, total, colour_2",
     [
-        (Bounds(8, 77), CLASSIC, 19_713, 5_297),
-        (Bounds(8, 77), CONCISE, 12_099, 2_918),
-        (Bounds(16, 16), CLASSIC, 32_278, 3_529),
-        (Bounds(16, 16), CONCISE, 24_564, 2_640),
+        (Bounds(8, 77), CLASSIC, 14_052, 5_297),
+        (Bounds(8, 77), CONCISE, 8_737, 2_918),
+        (Bounds(16, 16), CLASSIC, 20_630, 3_529),
+        (Bounds(16, 16), CONCISE, 16_073, 2_640),
     ],
     ids=["8-77-classic", "8-77-concise", "16-16-classic", "16-16-concise"],
 )
