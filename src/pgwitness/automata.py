@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+from . import updates
 from .errors import ResourceCapError
 from .games import ParityGame
 from .updates import UpdateVariant, _kernels, antagonistic_update, capped_update
@@ -83,8 +84,8 @@ def step_memo(bounds: Bounds, variant: UpdateVariant, kind: UpdateKind) -> StepM
     length whenever the ids outgrow them.  Only the states reached are
     ever built, at every statespace size.  The last Bounds' memos are
     kept, so solves that share Bounds share their steps.
-    Antagonistic steps (the constructive update: only solves above the
-    table cap step here) are computed at most ``CONSTRUCTIVE_STEP_CAP``
+    Antagonistic steps are constructive updates (only solves above the
+    table cap step here), computed at most ``CONSTRUCTIVE_STEP_CAP``
     times per memo; the next one raises ResourceCapError and clears this
     cache, so no later solve starts from a full memo.
 
@@ -93,7 +94,6 @@ def step_memo(bounds: Bounds, variant: UpdateVariant, kind: UpdateKind) -> StepM
     it is then kept as an alias of WON's id, as ``capped_update`` maps it
     to WON.
     """
-    automaton = SepAutomaton(bounds, variant, kind)
     states: list[State] = []
     state_id: dict[State, int] = {}
     moves: dict[int, list[int]] = {d: [-1] * 64 for d in bounds.colours}
@@ -109,7 +109,7 @@ def step_memo(bounds: Bounds, variant: UpdateVariant, kind: UpdateKind) -> StepM
         return q
 
     won = intern(WON)
-    intern(automaton.initial)
+    intern(bounds.blank_witness())
     if kind is UpdateKind.ANTAGONISTIC:
         taken = 0
 
@@ -122,7 +122,7 @@ def step_memo(bounds: Bounds, variant: UpdateVariant, kind: UpdateKind) -> StepM
                     f"constructive steps (bounds {bounds})"
                 )
             taken += 1
-            return intern(automaton.step(states[q], d))
+            return intern(updates.antagonistic_update_fast(states[q], d, bounds, variant))
 
     else:
         kernels = _kernels(bounds, variant)
@@ -161,3 +161,16 @@ def bounds_for_game(game: ParityGame, e: int | None = None) -> Bounds | None:
         return None
     min_colour = 1 if cmin == 1 else 2
     return Bounds(max_colour=max(cmax, min_colour), e=e, min_colour=min_colour)
+
+
+def admit(game: ParityGame, bounds: Bounds) -> None:
+    """Raise ValueError unless the automaton on ``bounds`` separates on
+    ``game``, by the rules of ``bounds_for_game``: every game colour lies
+    in the bounds' range, and the budget is not below the game's
+    even-vertex count.  Both witness solvers admit their input here."""
+    own = bounds_for_game(game, bounds.e)
+    if own.min_colour < bounds.min_colour or own.max_colour > bounds.max_colour:
+        raise ValueError(
+            f"game colours {min(game.colours)}..{own.max_colour} outside "
+            f"automaton colour range {bounds.min_colour}..{bounds.max_colour}"
+        )

@@ -74,10 +74,7 @@ def _variant(name: str) -> UpdateVariant:
 def _resolve_kind(algo: str, update: str | None) -> UpdateKind:
     if update is None:
         return UpdateKind.ANTAGONISTIC if algo == "lifting" else UpdateKind.BASIC
-    kind = UpdateKind(update)
-    if algo == "lifting" and kind is UpdateKind.BASIC:
-        raise ValueError("lifting requires --update antagonistic")
-    return kind
+    return UpdateKind(update)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .automata import SepAutomaton, UpdateKind, bounds_for_game, step_memo
+from .automata import SepAutomaton, UpdateKind, admit, bounds_for_game, step_memo
 from .errors import ResourceCapError
 from .games import EVEN, ODD, ParityGame, generate_random, normalize_colours
 from .updates import ANTAGONISTIC_TABLE_CAP, UpdateVariant, rank_table, space_size
@@ -111,7 +111,8 @@ def zielonka(game: ParityGame, *, stats: dict | None = None) -> WinningSets:
     return WinningSets(even=even, odd=odd)
 
 
-DEFAULT_PRODUCT_CAP = 2_000_000
+# The most product positions a solve may reach; read at every call.
+PRODUCT_CAP = 2_000_000
 
 
 def solve_product(
@@ -119,14 +120,14 @@ def solve_product(
     automaton: SepAutomaton,
     *,
     stats: dict | None = None,
-    cap: int = DEFAULT_PRODUCT_CAP,
 ) -> WinningSets:
     """Solve via the safety product with a separating automaton.
 
     Product positions are (vertex, automaton state); moving along an edge
     (v, w) feeds the source colour of ``v`` into the automaton.  Even wins
     a vertex iff Even can force the product from (vertex, initial) into a
-    position whose automaton state is WON.
+    position whose automaton state is WON.  The automaton must separate
+    on ``game`` (see ``admit``), else ValueError.
 
     The product is explored and solved on exits.  The exit of a position
     (v, q) is (v, q2), with q2 the state after reading v's colour in q.
@@ -138,15 +139,11 @@ def solve_product(
     exit into it, WON exits included, and ``stats["product_positions"]``
     is the total of their sizes, taken after exploration.  Each exit is
     the exit of a position of its own, so exploration stops as soon as
-    the exits outnumber ``cap``; the final count decides ``cap`` exactly.
+    the exits outnumber ``PRODUCT_CAP``; the final count decides the cap
+    exactly.
     """
     b = automaton.bounds
-    for c in game.colours:
-        if not b.min_colour <= c <= b.max_colour:
-            raise ValueError(
-                f"game colour {c} outside automaton colour range "
-                f"{b.min_colour}..{b.max_colour}"
-            )
+    admit(game, b)
     # Automaton states are small ints, and moves[d][q] is the state after
     # reading d in state q, or -1 until take(q, d) computes it.  Two step
     # sources: antagonistic steps within the table cap read the rank
@@ -171,7 +168,7 @@ def solve_product(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        winning, positions = _solve_exits(game, moves, take, won, initial, cap, b)
+        winning, positions = _solve_exits(game, moves, take, won, initial, PRODUCT_CAP, b)
     finally:
         if collecting:
             gc.enable()
@@ -220,11 +217,8 @@ def _solve_exits(
             q2 = row[initial] = take(initial, colours[v])
         exit_of[v][q2] = v
         state_of.append(q2)
-        if q2 == won:
-            count.append(0)
-            queue.append(v)
-        else:
-            count.append(need[v])
+        # Never WON: one colour read from all-Blank has value at most 1 <= e.
+        count.append(need[v])
     first = [-1] * n
     more: list[list[int] | None] = [None] * n
     reached = {initial: (1 << n) - 1}  # reached[q]: the vertices w of positions (w, q) met
@@ -283,8 +277,8 @@ def _solve_exits(
 
 def solve_lifting(
     game: ParityGame,
+    bounds: Bounds,
     variant: UpdateVariant,
-    e: int | None = None,
     *,
     stats: dict | None = None,
 ) -> WinningSets:
@@ -298,14 +292,11 @@ def solve_lifting(
 
     Values are statespace ranks (WON is the rank past the last state), so
     the witness order is integer order and an update is a table lookup.
-    Raises ResourceCapError before any work when the statespace is above
-    the antagonistic table cap.
+    The automaton on ``bounds`` must separate on ``game`` (see
+    ``admit``), else ValueError.  Raises ResourceCapError before any work
+    when the statespace is above the antagonistic table cap.
     """
-    bounds = bounds_for_game(game, e)
-    if bounds is None:
-        if stats is not None:
-            stats["lifts"] = 0
-        return WinningSets(even=frozenset(), odd=frozenset(game.vertices()))
+    admit(game, bounds)
     table = rank_table(bounds, variant)
     if table is None:
         raise ResourceCapError(
@@ -363,30 +354,26 @@ def solve(
 ) -> WinningSets:
     """Normalizing front door: solve with any algorithm/variant/update.
 
-    Colours are normalized first (winner-preserving).  ``e`` defaults to
+    The one place a witness solve is decided.  Colours are normalized
+    (winner-preserving) and the bounds derived once, ``e`` defaulting to
     the number of even-coloured vertices; a budget of 0 means Odd wins
-    everywhere.
+    everywhere, with no witness machinery and a work count of 0.
     """
+    if algo not in ("zielonka", "lifting", "product"):
+        raise ValueError(f"unknown algorithm {algo!r}")
+    if algo == "lifting" and kind is UpdateKind.BASIC:
+        raise ValueError("lifting requires the antagonistic update (monotonicity)")
     norm, _ = normalize_colours(game)
     if algo == "zielonka":
         return zielonka(norm, stats=stats)
+    bounds = bounds_for_game(norm, e)
+    if bounds is None:
+        if stats is not None:
+            stats["lifts" if algo == "lifting" else "product_positions"] = 0
+        return WinningSets(even=frozenset(), odd=frozenset(norm.vertices()))
     if algo == "lifting":
-        if kind is UpdateKind.BASIC:
-            raise ValueError(
-                "lifting requires the antagonistic update (monotonicity)"
-            )
-        return solve_lifting(norm, variant, e, stats=stats)
-    if algo == "product":
-        bounds = bounds_for_game(norm, e)
-        if bounds is None:
-            if stats is not None:
-                stats["product_positions"] = 0
-            return WinningSets(
-                even=frozenset(), odd=frozenset(game.vertices())
-            )
-        automaton = SepAutomaton(bounds=bounds, variant=variant, kind=kind)
-        return solve_product(norm, automaton, stats=stats)
-    raise ValueError(f"unknown algorithm {algo!r}")
+        return solve_lifting(norm, bounds, variant, stats=stats)
+    return solve_product(norm, SepAutomaton(bounds, variant, kind), stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +420,7 @@ def differential(
             st: dict = {}
             res = solve(game, algo, variant, kind, stats=st)
             row[name + "_even"] = _bitmap(res.even, game.n)
-            row[name + "_steps"] = st.get("lifts", st.get("product_positions", 0))
+            row[name + "_steps"] = st["lifts" if algo == "lifting" else "product_positions"]
             agree = agree and res == oracle
         row["agree"] = agree
         rows.append(row)

@@ -27,6 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 UPDATES = "src/pgwitness/updates.py"
 SOLVERS = "src/pgwitness/solvers.py"
+AUTOMATA = "src/pgwitness/automata.py"
+WITNESSES = "src/pgwitness/witnesses.py"
 
 ORACLE = "tests/test_updates.py::test_block_filled_table_equals_the_suffix_minimum_oracle"
 RULE_COUNTS = "tests/test_updates.py::test_a_cold_table_build_evaluates_the_rules_this_often"
@@ -97,6 +99,13 @@ MUTANTS = (
     ),
     # Earlier rules of the column fill.
     Mutant(
+        "even-leaf-run-takes-the-head-outcome",
+        UPDATES,
+        "v = rank.get(kernel(space[h + 1]), won)",
+        "v = rank.get(kernel(space[h]), won)",
+        (ORACLE,),
+    ),
+    Mutant(
         "stale-leaves-above-d-sent-to-the-head",
         UPDATES,
         "a = min(h + 1 + below, end)",
@@ -116,6 +125,45 @@ MUTANTS = (
         "if not s[-1] & 1 and witness_value(s) <= bounds.e:",
         "if not s[-1] & 1:",
         ("tests/test_updates.py::test_the_statespace_check_accepts_exactly_the_enumerated_states",),
+    ),
+    Mutant(
+        "colour-table-also-shares-colour-4",
+        UPDATES,
+        "shared = variant is UpdateVariant.COLOUR and (d % 2 or d == 2)",
+        "shared = variant is UpdateVariant.COLOUR and (d % 2 or d in (2, 4))",
+        ("tests/test_updates.py::test_colour_table_shares_the_concise_columns",),
+    ),
+    Mutant(
+        "concise-truncation-never-fires",
+        UPDATES,
+        "cuts[i] if d in w else tails[i]",
+        "tails[i]",
+        ("tests/test_updates.py::test_kernels_equal_the_plainly_written_reference",),
+    ),
+    Mutant(
+        "block-ends-cut-short",
+        WITNESSES,
+        "ends[start] = len(out)",
+        "ends[start] = len(out) - 1",
+        (
+            "tests/test_updates.py::"
+            "test_enumeration_records_the_block_ends_of_the_neighbour_comparison",
+        ),
+    ),
+    # The one way into the witness solvers (solvers.solve, automata.admit).
+    Mutant(
+        "admission-without-the-budget-comparison",
+        AUTOMATA,
+        "own = bounds_for_game(game, bounds.e)",
+        "own = bounds_for_game(game)",
+        ("tests/test_solvers.py::test_witness_solvers_admit_only_an_automaton_that_separates",),
+    ),
+    Mutant(
+        "zero-budget-counter-keys-swapped",
+        SOLVERS,
+        'stats["lifts" if algo == "lifting" else "product_positions"] = 0',
+        'stats["product_positions" if algo == "lifting" else "lifts"] = 0',
+        ("tests/test_solvers.py::test_solve_all_odd_game_short_circuits_to_odd",),
     ),
     # The product's exits (solvers._solve_exits).
     Mutant(

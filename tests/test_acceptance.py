@@ -33,7 +33,7 @@ from oracles import (
     update_space,
     witness_cmp,
 )
-from pgwitness.automata import SepAutomaton, bounds_for_game
+from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game
 from pgwitness.counting import (
     count_bitword_measures,
     count_classic_by_value,
@@ -49,7 +49,7 @@ from pgwitness.counting import (
     total_monotone_seqs,
 )
 from pgwitness.games import generate_random
-from pgwitness.solvers import differential, solve_lifting
+from pgwitness.solvers import differential, solve
 from pgwitness.updates import (
     UpdateVariant,
     antagonistic_update,
@@ -474,8 +474,8 @@ def test_criterion_8_convergence_counts():
             g = generate_random(n, mc, (1, 3), seed)
             st_col: dict = {}
             st_cls: dict = {}
-            solve_lifting(g, UpdateVariant.COLOUR, stats=st_col)
-            solve_lifting(g, UpdateVariant.CLASSIC, stats=st_cls)
+            solve(g, "lifting", UpdateVariant.COLOUR, UpdateKind.ANTAGONISTIC, stats=st_col)
+            solve(g, "lifting", UpdateVariant.CLASSIC, UpdateKind.ANTAGONISTIC, stats=st_cls)
             games += 1
             if st_col["lifts"] > st_cls["lifts"]:
                 violations.append((seed, st_col["lifts"], st_cls["lifts"]))

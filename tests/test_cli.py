@@ -61,13 +61,16 @@ def test_solve_same_answer_for_every_algorithm(tmp_path, capsys):
 
 
 def test_solve_lifting_with_basic_update_exits_2(tmp_path, capsys):
-    f = tmp_path / "loop.gm"
-    f.write_text(EVEN_LOOP)
-    code, _, err = run(
-        capsys, "solve", str(f), "--algo", "lifting", "--update", "basic"
-    )
-    assert code == 2
-    assert "antagonistic" in err
+    # Also on a game without even colours, which needs no automaton.
+    for text in (EVEN_LOOP, ALL_ODD):
+        f = tmp_path / "g.gm"
+        f.write_text(text)
+        code, out, err = run(
+            capsys, "solve", str(f), "--algo", "lifting", "--update", "basic"
+        )
+        assert code == 2
+        assert out == ""
+        assert "antagonistic" in err
 
 
 def test_solve_malformed_file_exits_2_with_line(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import game
 from oracles import brute_force_even_region, product_even_region
-from pgwitness import automata, updates, witnesses
+from pgwitness import automata, solvers, updates, witnesses
 from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game
 from pgwitness.cli import rows_csv
 from pgwitness.errors import ResourceCapError
@@ -23,6 +23,7 @@ from pgwitness.solvers import (
     zielonka,
 )
 from pgwitness.updates import UpdateVariant
+from pgwitness.witnesses import Bounds
 
 ALL_VERTICES = lambda g: frozenset(g.vertices())  # noqa: E731
 
@@ -149,11 +150,34 @@ def test_product_rejects_colours_outside_automaton_range():
         solve_product(g, aut)
 
 
-def test_product_cap_is_enforced():
+def test_product_cap_is_enforced(monkeypatch):
     g = generate_random(6, 4, (1, 3), seed=1)
     aut = SepAutomaton(bounds=bounds_for_game(g), variant=UpdateVariant.CLASSIC)
+    monkeypatch.setattr(solvers, "PRODUCT_CAP", 5)
     with pytest.raises(ResourceCapError):
-        solve_product(g, aut, cap=5)
+        solve_product(g, aut)
+
+
+def test_witness_solvers_admit_only_an_automaton_that_separates():
+    # The game has 3 even-coloured vertices and colours 1..4.  At e=1 the
+    # classic basic product used to give Even vertex 1, which zielonka
+    # gives to Odd.
+    g = normalize_colours(generate_random(8, 4, (1, 3), 4))[0]
+    assert g.even_vertex_count == 3 and (min(g.colours), max(g.colours)) == (1, 4)
+    rejected = [(Bounds(4, e), "unsound") for e in (1, 2)] + [
+        (Bounds(3, 3), "outside automaton colour range"),
+        (Bounds(4, 3, min_colour=2), "outside automaton colour range"),
+    ]
+    for variant in UpdateVariant:
+        for bounds, reason in rejected:
+            for kind in UpdateKind:
+                with pytest.raises(ValueError, match=reason):
+                    solve_product(g, SepAutomaton(bounds, variant, kind))
+            with pytest.raises(ValueError, match=reason):
+                solve_lifting(g, bounds, variant)
+        assert solve_lifting(g, Bounds(4, 3), variant) == zielonka(g), variant
+        for kind in UpdateKind:
+            assert solve_product(g, SepAutomaton(Bounds(4, 3), variant, kind)) == zielonka(g)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +188,7 @@ def test_product_cap_is_enforced():
 def test_lifting_even_self_loop_takes_two_lifts():
     g = game([EVEN], [2], [[0]])
     stats: dict = {}
-    res = solve_lifting(g, UpdateVariant.CONCISE, stats=stats)
+    res = solve_lifting(g, bounds_for_game(g), UpdateVariant.CONCISE, stats=stats)
     # blank -> <2> -> WON
     assert res.even == {0}
     assert stats["lifts"] == 2
@@ -174,7 +198,7 @@ def test_lifting_odd_self_loop_stays_at_bottom():
     # Single odd colour: the budget defaults to 0, Odd wins outright.
     g = game([EVEN], [1], [[0]])
     stats: dict = {}
-    res = solve_lifting(g, UpdateVariant.CLASSIC, stats=stats)
+    res = solve(g, "lifting", UpdateVariant.CLASSIC, UpdateKind.ANTAGONISTIC, stats=stats)
     assert res.odd == {0}
     assert stats["lifts"] == 0
 
@@ -184,7 +208,7 @@ def test_lifting_odd_self_loop_with_forced_budget_resets_forever():
     # update resets to all-blank and nothing ever lifts.
     g = game([EVEN], [1], [[0]])
     stats: dict = {}
-    res = solve_lifting(g, UpdateVariant.COLOUR, e=2, stats=stats)
+    res = solve_lifting(g, bounds_for_game(g, 2), UpdateVariant.COLOUR, stats=stats)
     assert res.odd == {0}
     assert stats["lifts"] == 0
 
@@ -192,14 +216,14 @@ def test_lifting_odd_self_loop_with_forced_budget_resets_forever():
 def test_lifting_two_cycle_even_wins_everywhere():
     g = game([EVEN, ODD], [2, 1], [[1], [0]])
     for variant in UpdateVariant:
-        res = solve_lifting(g, variant)
+        res = solve_lifting(g, bounds_for_game(g), variant)
         assert res.even == {0, 1}, variant
 
 
 def test_lifting_rejects_unnormalized_colour_zero():
     g = game([EVEN], [0], [[0]])
     with pytest.raises(ValueError):
-        solve_lifting(g, UpdateVariant.CONCISE)
+        solve_lifting(g, Bounds(max_colour=2, e=1), UpdateVariant.CONCISE)
 
 
 # An 8-vertex game whose colours normalise to 1..10.  At the forced budget
@@ -247,14 +271,16 @@ def test_product_above_the_table_cap_agrees_with_zielonka():
     assert positions == {"classic": 10368, "concise": 4463, "colour": 4455}
 
 
-def test_product_solve_leaves_the_collector_as_it_found_it():
+def test_product_solve_leaves_the_collector_as_it_found_it(monkeypatch):
     g = generate_random(30, 6, (1, 3), 2)
     aut = SepAutomaton(bounds_for_game(g), UpdateVariant.CONCISE)
     assert gc.isenabled()
     solve_product(g, aut)
     assert gc.isenabled()
-    with pytest.raises(ResourceCapError):
-        solve_product(g, aut, cap=1)
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "PRODUCT_CAP", 1)
+        with pytest.raises(ResourceCapError):
+            solve_product(g, aut)
     assert gc.isenabled()
     gc.disable()
     try:
@@ -288,6 +314,27 @@ def test_antagonistic_products_above_the_table_cap_fail_fast():
     assert pinned_product_steps() == 981
 
 
+def test_antagonistic_steps_above_the_table_cap_take_the_constructive_update(monkeypatch):
+    # The memo calls the constructive update once per step, through the
+    # updates module, and never asks for the table again.
+    constructive = updates.antagonistic_update_fast
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return constructive(*args)
+
+    asked = lambda *args: pytest.fail("asked for the table-or-constructive choice")  # noqa: E731
+    monkeypatch.setattr(updates, "antagonistic_update_fast", counted)
+    monkeypatch.setattr(updates, "rank_table", asked)
+    monkeypatch.setattr(SepAutomaton, "step", asked)
+    automata.step_memo.cache_clear()
+    for variant in UpdateVariant:
+        got = solve(ABOVE_CAP_GAME, "product", variant, UpdateKind.ANTAGONISTIC, ABOVE_CAP_E)
+        assert got == zielonka(ABOVE_CAP_GAME), variant
+    assert len(calls) == 3 * 981
+
+
 @pytest.mark.parametrize(
     "g, e, variants, kind",
     [
@@ -298,7 +345,7 @@ def test_antagonistic_products_above_the_table_cap_fail_fast():
     ],
     ids=["basic-within-cap", "ranks-antagonistic", "basic-above-cap", "interned-antagonistic"],
 )
-def test_product_cap_admits_exactly_the_product(g, e, variants, kind):
+def test_product_cap_admits_exactly_the_product(g, e, variants, kind, monkeypatch):
     # A product of P positions solves under cap=P and fails under cap=P-1,
     # within the table cap and above it, for both step sources.
     norm, _ = normalize_colours(g)
@@ -310,12 +357,15 @@ def test_product_cap_admits_exactly_the_product(g, e, variants, kind):
         stats: dict = {}
         expected = solve_product(norm, aut, stats=stats)
         positions = stats["product_positions"]
-        assert solve_product(norm, aut, cap=positions) == expected, variant
-        with pytest.raises(ResourceCapError, match=f"cap of {positions - 1} positions"):
-            solve_product(norm, aut, cap=positions - 1)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "PRODUCT_CAP", positions)
+            assert solve_product(norm, aut) == expected, variant
+            m.setattr(solvers, "PRODUCT_CAP", positions - 1)
+            with pytest.raises(ResourceCapError, match=f"cap of {positions - 1} positions"):
+                solve_product(norm, aut)
 
 
-def test_product_cap_fails_before_exploring_the_product():
+def test_product_cap_fails_before_exploring_the_product(monkeypatch):
     # Exploration stops once the exits outnumber the cap: each expanded
     # exit fills at most one step-memo entry per successor (out-degree at
     # most 3 here), and the start exits at most n more.
@@ -328,8 +378,10 @@ def test_product_cap_fails_before_exploring_the_product():
         return sum(q >= 0 for row in moves.values() for q in row)
 
     automata.step_memo.cache_clear()
-    with pytest.raises(ResourceCapError, match=f"cap of {cap} positions"):
-        solve_product(norm, aut, cap=cap)
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "PRODUCT_CAP", cap)
+        with pytest.raises(ResourceCapError, match=f"cap of {cap} positions"):
+            solve_product(norm, aut)
     assert steps_taken() <= 3 * (cap + 1) + norm.n
     stats: dict = {}
     solve_product(norm, aut, stats=stats)
@@ -454,6 +506,10 @@ def test_solve_lifting_with_basic_update_is_an_error():
     g = game([EVEN], [2], [[0]])
     with pytest.raises(ValueError):
         solve(g, "lifting", UpdateVariant.CONCISE, UpdateKind.BASIC)
+    # Also where the zero budget would answer without the automaton.
+    all_odd = game([EVEN, ODD], [1, 3], [[1], [0]])
+    with pytest.raises(ValueError, match="antagonistic"):
+        solve(all_odd, "lifting", UpdateVariant.CONCISE, UpdateKind.BASIC)
 
 
 def test_solve_unknown_algorithm():
@@ -464,9 +520,11 @@ def test_solve_unknown_algorithm():
 
 def test_solve_all_odd_game_short_circuits_to_odd():
     g = game([EVEN, ODD], [1, 3], [[1], [0]])
-    for algo in ("product", "lifting"):
-        res = solve(g, algo, UpdateVariant.CLASSIC, UpdateKind.ANTAGONISTIC)
+    for algo, counter in (("product", "product_positions"), ("lifting", "lifts")):
+        stats: dict = {}
+        res = solve(g, algo, UpdateVariant.CLASSIC, UpdateKind.ANTAGONISTIC, stats=stats)
         assert res.odd == {0, 1}, algo
+        assert stats == {counter: 0}, algo
 
 
 def test_winning_sets_winner_lookup():
