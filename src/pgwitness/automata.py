@@ -11,6 +11,7 @@ solving the safety product of game and automaton then solves the game.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -73,59 +74,72 @@ StepMemo = tuple[list[State], dict[State, int], dict[int, list[int]], Callable[[
 
 
 @last_bounds_cache
+def _shared_memo(bounds: Bounds, kind: UpdateKind) -> tuple:
+    """``step_memo``'s one memo per (``bounds``, ``kind``), as ``(states,
+    state_id, rows, intern, taken)``; ``taken[variant]`` counts its constructive steps."""
+    states: list[State] = []
+    state_id: dict[State, int] = {}
+    size = 64
+    rows: dict[tuple, list[int]] = defaultdict(lambda: [-1] * size)
+
+    def intern(s: State) -> int:
+        nonlocal size
+        q = state_id.get(s)
+        if q is None:
+            q = state_id[s] = len(states)
+            states.append(s)
+            if q == size:
+                for row in rows.values():
+                    row.extend([-1] * q)
+                size += q
+        return q
+
+    intern(WON)
+    intern(bounds.blank_witness())
+    return states, state_id, rows, intern, {}
+
+
 def step_memo(bounds: Bounds, variant: UpdateVariant, kind: UpdateKind) -> StepMemo:
     """The steps of ``SepAutomaton(bounds, variant, kind)`` on interned
-    state ids, as ``(states, state_id, moves, take)``.
+    state ids, as ``(states, state_id, moves, take)``, from the one memo
+    of (``bounds``, ``kind``) that the three rule sets share.
 
     States get ids on first sight, WON and the initial state first:
     ``states[q]`` is the state of id ``q`` and ``state_id`` its inverse.
     ``moves[d][q]`` is the id after reading ``d`` in state ``q``, or -1
-    until the caller stores ``take(q, d)`` there; the rows double in
+    until the caller stores ``take(q, d)`` there.  ``moves[d]`` is the
+    row of the rule ``rule_set(variant, d)``: a basic step depends on
+    nothing else, and a constructive one on the statespace too, so its
+    row is keyed by statespace and rule, as columns are.  Rows double in
     length whenever the ids outgrow them.  Only the states reached are
     ever built, at every statespace size.  The last Bounds' memos are
-    kept, so solves that share Bounds share their steps.
-    Antagonistic steps are constructive updates (only solves above the
-    table cap step here), computed at most ``CONSTRUCTIVE_STEP_CAP``
-    times per memo; the next one raises ResourceCapError and clears this
-    cache, so no later solve starts from a full memo.
+    kept, so solves that share Bounds share their steps.  Antagonistic
+    steps are constructive updates (only solves above the table cap step
+    here), computed at most ``CONSTRUCTIVE_STEP_CAP`` times per rule set
+    and memo; the next one raises ResourceCapError and drops the memo.
 
     A basic step is one kernel call and one lookup.  An outcome is
     checked against the budget only the first time it is seen; one above
     it is then kept as an alias of WON's id, as ``capped_update`` maps it
     to WON.
     """
-    states: list[State] = []
-    state_id: dict[State, int] = {}
-    moves: dict[int, list[int]] = {d: [-1] * 64 for d in bounds.colours}
-
-    def intern(s: State) -> int:
-        q = state_id.get(s)
-        if q is None:
-            q = state_id[s] = len(states)
-            states.append(s)
-            if q == len(moves[bounds.min_colour]):
-                for row in moves.values():
-                    row.extend([-1] * q)
-        return q
-
-    won = intern(WON)
-    intern(bounds.blank_witness())
+    states, state_id, rows, intern, taken = _shared_memo(bounds, kind)
+    over = updates.space_variant_for(variant) if kind is UpdateKind.ANTAGONISTIC else None
+    moves = {d: rows[over, updates.rule_set(variant, d), d] for d in bounds.colours}
     if kind is UpdateKind.ANTAGONISTIC:
-        taken = 0
 
         def take(q: int, d: int) -> int:
-            nonlocal taken
-            if taken >= CONSTRUCTIVE_STEP_CAP:
-                step_memo.cache_clear()
+            if taken.get(variant, 0) >= CONSTRUCTIVE_STEP_CAP:
+                _shared_memo.cache_clear()
                 raise ResourceCapError(
                     f"antagonistic product exceeds cap of {CONSTRUCTIVE_STEP_CAP} "
                     f"constructive steps (bounds {bounds})"
                 )
-            taken += 1
+            taken[variant] = taken.get(variant, 0) + 1
             return intern(updates.antagonistic_update_fast(states[q], d, bounds, variant))
 
     else:
-        kernels = _kernels(bounds, variant)
+        kernels, won = _kernels(bounds, variant), state_id[WON]
 
         def take(q: int, d: int) -> int:
             out = kernels[d](states[q])

@@ -78,12 +78,16 @@ def _resolve_kind(algo: str, update: str | None) -> UpdateKind:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.algo == "zielonka":
+        given = [f"--{opt}" for opt in ("variant", "update", "e") if getattr(args, opt) is not None]
+        if given:
+            raise ValueError(f"--algo zielonka takes no {', '.join(given)}")
     with open(args.file, "r", encoding="utf-8") as fh:
         game = parse_pgsolver(fh.read())
     kind = _resolve_kind(args.algo, args.update)
     stats: dict = {}
     result = solve(
-        game, args.algo, _variant(args.variant), kind, args.e, stats=stats
+        game, args.algo, _variant(args.variant or "concise"), kind, args.e, stats=stats
     )
     ids = game.ids if game.ids is not None else tuple(game.vertices())
     even = sorted(ids[v] for v in result.even)
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve a game file")
     p.add_argument("file")
     p.add_argument("--algo", choices=["product", "lifting", "zielonka"], default="zielonka")
-    p.add_argument("--variant", choices=variants, default="concise")
+    p.add_argument("--variant", choices=variants, default=None)
     p.add_argument("--update", choices=kinds, default=None)
     p.add_argument("--e", type=int, default=None, help="even-chain budget override")
     p.set_defaults(func=cmd_solve)

@@ -148,8 +148,8 @@ def solve_product(
     # reading d in state q, or -1 until take(q, d) computes it.  Two step
     # sources: antagonistic steps within the table cap read the rank
     # table on statespace ranks; every other step goes through the
-    # automaton's memo of interned ids (``step_memo``), which enumerates
-    # nothing and is shared by every solve with the same automaton.
+    # memo of interned ids (``step_memo``), which enumerates nothing and
+    # is shared by every solve with the same bounds and update kind.
     table = None
     if automaton.kind is UpdateKind.ANTAGONISTIC:
         table = rank_table(b, automaton.variant)
@@ -363,6 +363,8 @@ def solve(
         raise ValueError(f"unknown algorithm {algo!r}")
     if algo == "lifting" and kind is UpdateKind.BASIC:
         raise ValueError("lifting requires the antagonistic update (monotonicity)")
+    if algo == "zielonka" and e is not None:
+        raise ValueError("zielonka takes no budget e")
     norm, _ = normalize_colours(game)
     if algo == "zielonka":
         return zielonka(norm, stats=stats)

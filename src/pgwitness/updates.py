@@ -50,6 +50,22 @@ def space_variant_for(variant: UpdateVariant) -> StatespaceVariant:
     return StatespaceVariant.CONCISE
 
 
+_RULE_SETS = {  # (even, odd) above colour 2
+    UpdateVariant.CLASSIC: (UpdateVariant.CLASSIC, UpdateVariant.CLASSIC),
+    UpdateVariant.CONCISE: (UpdateVariant.CLASSIC, UpdateVariant.CONCISE),
+    UpdateVariant.COLOUR: (UpdateVariant.COLOUR, UpdateVariant.CONCISE),
+}
+
+
+def rule_set(variant: UpdateVariant, d: int) -> UpdateVariant:
+    """The rule set whose rule ``variant`` applies on colour ``d``, by
+    which kernels, columns and step-memo rows are shared.  The concise
+    rules are the classic ones on even colours, the colour rules the
+    concise ones on odd colours and colour 2 (see ``_antagonistic_table``),
+    and no rule set changes a state on colour 1."""
+    return UpdateVariant.CLASSIC if d <= 2 else _RULE_SETS[variant][d & 1]
+
+
 def _check_colour(d: int, bounds: Bounds) -> None:
     if not bounds.min_colour <= d <= bounds.max_colour:
         raise ValueError(
@@ -146,13 +162,12 @@ def _classic_kernel(d: int, L: int) -> Kernel:
 
 
 def _concise_kernel(d: int, L: int) -> Kernel:
-    # The classic rules, then odd repeats blanked.  A concise input repeats
-    # no odd colour and the classic rules write at most one entry, d
-    # itself, so only an odd d written after its own earlier occurrence
-    # leaves a repeat: that write becomes Blank.  Entries do not increase,
-    # so d occurs before the written index exactly when it occurs at all.
-    if not d & 1:
-        return _classic_kernel(d, L)
+    # Odd d only (see ``rule_set``): the classic rules, then odd repeats
+    # blanked.  A concise input repeats no odd colour and the classic
+    # rules write at most one entry, d itself, so only d written after its
+    # own earlier occurrence leaves a repeat: that write becomes Blank.
+    # Entries do not increase, so d occurs before the written index
+    # exactly when it occurs at all.
     tails = _tails(d, L)
     cuts = tuple((BLANK,) * (L - i) for i in range(L))
 
@@ -167,23 +182,10 @@ def _concise_kernel(d: int, L: int) -> Kernel:
 
 
 def _colour_kernel(d: int, L: int) -> Kernel:
+    # Even d from 4 up only (see ``rule_set``).  After an odd colour below
+    # d at index i is released, the evidence restarts at position 0 with
+    # colour d.
     tails = _tails(d, L)
-    if d & 1:
-        # The greatest position holding a colour <= d restarts with d;
-        # above it every entry is larger (or Blank), so the write never
-        # duplicates an odd colour.
-
-        def odd(w: Witness) -> State:
-            for i in range(L):
-                x = w[i]
-                if x and x <= d:
-                    return w[:i] + tails[i]
-            return w
-
-        return odd
-
-    # After an odd colour below d at index i is released, the evidence
-    # restarts at position 0 with colour d.
     released = tuple((BLANK,) * (L - i - 2) + (d,) for i in range(L))
 
     def even(w: Witness) -> State:
@@ -224,24 +226,23 @@ def _kernels(bounds: Bounds, variant: UpdateVariant) -> dict[int, Kernel]:
     """``variant``'s raw rules for ``bounds``, one kernel per colour:
     ``kernels[d](w)`` is the state after reading ``d`` in ``w``.  Kept,
     like every per-Bounds cache, for the last Bounds used; callers fetch
-    them once per column, memo or constructive call.
+    them once per column, memo or constructive call.  ``kernels[d]`` is
+    the one kernel of the rule ``rule_set(variant, d)``, built on first
+    use and handed to every rule set that applies it."""
+    return {d: _kernel(bounds, rule_set(variant, d), d) for d in bounds.colours}
 
+
+@last_bounds_cache
+def _kernel(bounds: Bounds, rule: UpdateVariant, d: int) -> Kernel:
+    """The kernel of ``rule`` on ``d``, where ``rule_set(rule, d) is rule``.
     Every rule set resets on the greatest colour when it is odd.  No
     state holds colour 1 (see ``Bounds.statespace_entries``), so no rule
     set changes a state on colour 1 (``_unchanged``), and the classic
     rules never write colour 2 locally."""
-    L = bounds.length
-    make = _KERNEL_MAKERS[variant]
-    reset = bounds.blank_witness()
-    kernels: dict[int, Kernel] = {}
-    for d in bounds.colours:
-        if d & 1 and d == bounds.max_colour:
-            kernels[d] = lambda w: reset
-        elif d == 1:
-            kernels[d] = _unchanged
-        else:
-            kernels[d] = make(d, L)
-    return kernels
+    if d & 1 and d == bounds.max_colour:
+        reset = bounds.blank_witness()
+        return lambda w: reset
+    return _unchanged if d == 1 else _KERNEL_MAKERS[rule](d, bounds.length)
 
 
 def _capped(kernel: Kernel, s: Witness, e: int) -> State:
@@ -299,11 +300,12 @@ def _ranked_space(
 
 
 @last_bounds_cache
-def _column(bounds: Bounds, variant: UpdateVariant, d: int) -> list[int]:
-    """The antagonistic column of colour ``d`` under ``variant``'s rules,
-    built on first use (see ``_antagonistic_table``)."""
-    space, rank, ends, ranks, least = _ranked_space(bounds, space_variant_for(variant))
-    kernel = _kernels(bounds, variant)[d]
+def _column(bounds: Bounds, over: StatespaceVariant, rule: UpdateVariant, d: int) -> list[int]:
+    """The antagonistic column of colour ``d`` under ``rule``'s rules on
+    the statespace ``over``, built on first use (see
+    ``_antagonistic_table``)."""
+    space, rank, ends, ranks, least = _ranked_space(bounds, over)
+    kernel = _kernels(bounds, rule)[d]
     if kernel is _unchanged:
         # Every state's outcome is itself, so the suffix minima are the
         # ranks.
@@ -471,13 +473,13 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
       ``h`` are all there or none is).  No entry is below 2, so colour 2
       evaluates no head, and one leaf per run.
 
-    ``_column`` keeps the last Bounds' columns, by rule set and colour,
-    and the COLOUR table reads the CONCISE column, the same list, for
-    every odd colour and for colour 2, because there the two rule sets
-    give the same state on every concise state ``w``.  Concise states have
-    non-increasing entries, repeat no odd colour, never hold colour 1,
-    and hold no odd entry at position 0 (the last index).  For odd ``d``
-    (below the greatest colour; both rule sets reset on that one):
+    ``_column`` keeps the last Bounds' columns by statespace and rule
+    (``rule_set``), so the COLOUR table reads the CONCISE column, the
+    same list, for every odd colour and for colour 2: there the two rule
+    sets give the same state on every concise state ``w``.  Concise
+    states have non-increasing entries, repeat no odd colour, never hold
+    colour 1, and hold no odd entry at position 0 (the last index).  For
+    odd ``d`` (below the greatest colour; both rule sets reset on it):
 
     * if ``d`` is at index ``j``, every entry before ``j`` is above
       ``d``, and ``j`` is not position 0, so the colour rules write ``d``
@@ -498,11 +500,9 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     classic overflow writes the same state; with no such index both
     carry out to WON.
     """
-    space, rank = _ranked_space(bounds, space_variant_for(variant))[:2]
-    columns: dict[int, list[int]] = {}
-    for d in bounds.colours:
-        shared = variant is UpdateVariant.COLOUR and (d % 2 or d == 2)
-        columns[d] = _column(bounds, UpdateVariant.CONCISE if shared else variant, d)
+    over = space_variant_for(variant)
+    space, rank = _ranked_space(bounds, over)[:2]
+    columns = {d: _column(bounds, over, rule_set(variant, d), d) for d in bounds.colours}
     return space, rank, columns
 
 

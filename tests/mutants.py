@@ -33,6 +33,12 @@ WITNESSES = "src/pgwitness/witnesses.py"
 ORACLE = "tests/test_updates.py::test_block_filled_table_equals_the_suffix_minimum_oracle"
 RULE_COUNTS = "tests/test_updates.py::test_a_cold_table_build_evaluates_the_rules_this_often"
 PRODUCT_ORACLE = "tests/test_solvers.py::test_product_matches_the_naive_product_oracle"
+SHARED_BY_RULE = (
+    "tests/test_updates.py::test_kernels_columns_and_memo_rows_are_shared_exactly_by_rule"
+)
+ONE_MEMO = (
+    "tests/test_updates.py::test_basic_products_on_one_memo_share_exactly_the_steps_of_one_rule"
+)
 DUPLICATED_SUCCESSOR = (
     "tests/test_metamorphic.py::test_a_duplicated_successor_changes_no_answer_and_no_count"
 )
@@ -126,12 +132,36 @@ MUTANTS = (
         "if not s[-1] & 1:",
         ("tests/test_updates.py::test_the_statespace_check_accepts_exactly_the_enumerated_states",),
     ),
+    # The rule each rule set applies (updates.rule_set), and the kernels,
+    # columns and step-memo rows shared by rule.
     Mutant(
         "colour-table-also-shares-colour-4",
         UPDATES,
-        "shared = variant is UpdateVariant.COLOUR and (d % 2 or d == 2)",
-        "shared = variant is UpdateVariant.COLOUR and (d % 2 or d in (2, 4))",
+        "return UpdateVariant.CLASSIC if d <= 2 else",
+        "return UpdateVariant.CLASSIC if d <= 2 or d == 4 and variant is UpdateVariant.COLOUR else",
         ("tests/test_updates.py::test_colour_table_shares_the_concise_columns",),
+    ),
+    Mutant(
+        "concise-odd-colours-take-the-classic-rule",
+        UPDATES,
+        "UpdateVariant.CONCISE: (UpdateVariant.CLASSIC, UpdateVariant.CONCISE),",
+        "UpdateVariant.CONCISE: (UpdateVariant.CLASSIC, UpdateVariant.CLASSIC),",
+        (SHARED_BY_RULE,),
+    ),
+    Mutant(
+        "constructive-rows-shared-across-statespaces",
+        AUTOMATA,
+        "over = updates.space_variant_for(variant) if kind is UpdateKind.ANTAGONISTIC else None",
+        "over = None",
+        (SHARED_BY_RULE,),
+    ),
+    Mutant(
+        "colour-basic-rows-share-colour-4",
+        AUTOMATA,
+        "rows[over, updates.rule_set(variant, d), d]",
+        "rows[over, updates.rule_set("
+        "UpdateVariant.CONCISE if d == 4 and not over else variant, d), d]",
+        (ONE_MEMO, SHARED_BY_RULE),
     ),
     Mutant(
         "concise-truncation-never-fires",

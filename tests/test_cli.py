@@ -46,14 +46,14 @@ def test_solve_same_answer_for_every_algorithm(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--n", "7", "--max-colour", "5", "--seed", "11")
     assert code == 0
     f.write_text(out)
-    combos = [("zielonka", "concise")] + [
-        (algo, variant)
+    combos = [["--algo", "zielonka"]] + [
+        ["--algo", algo, "--variant", variant]
         for algo in ("product", "lifting")
         for variant in ("classic", "concise", "colour")
     ]
     answers = set()
-    for algo, variant in combos:
-        code, out, _ = run(capsys, "solve", str(f), "--algo", algo, "--variant", variant)
+    for argv in combos:
+        code, out, _ = run(capsys, "solve", str(f), *argv)
         assert code == 0
         lines = out.strip().split("\n")
         answers.add((lines[0], lines[1]))
@@ -94,6 +94,30 @@ def test_solve_budget_below_the_even_vertex_count_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "unsound" in err
+
+
+def test_solve_zielonka_rejects_the_witness_options(tmp_path, capsys):
+    # zielonka has no rule set, update or budget: each option exits 2
+    # before the file is read, and a plain solve prints what it always did.
+    f = tmp_path / "g.gm"
+    code, out, _ = run(capsys, "gen", "--n", "8", "--max-colour", "4", "--seed", "4")
+    f.write_text(out)
+    code, out, err = run(
+        capsys, "solve", str(f), "--algo", "zielonka", "--e", "1", "--update", "basic"
+    )
+    assert (code, out) == (2, "")
+    assert "--algo zielonka takes no --update, --e" in err
+    for option in (["--e", "9"], ["--update", "antagonistic"], ["--variant", "concise"]):
+        code, out, err = run(capsys, "solve", "/nonexistent/game.gm", "--algo", "zielonka", *option)
+        assert (code, out) == (2, ""), option
+        assert f"takes no {option[0]}" in err, option
+    for argv in ([], ["--algo", "zielonka"]):
+        code, out, _ = run(capsys, "solve", str(f), *argv)
+        assert (code, out) == (0, "even: \nodd: 0 1 2 3 4 5 6 7\n# calls: 4\n"), argv
+    # The witness solvers still default to the concise rule set.
+    code, out, _ = run(capsys, "solve", str(f), "--algo", "product")
+    assert code == 0
+    assert out == run(capsys, "solve", str(f), "--algo", "product", "--variant", "concise")[1]
 
 
 def test_solve_lifting_above_the_table_cap_exits_3(tmp_path, capsys):

@@ -94,6 +94,13 @@ def test_zielonka_two_cycle_highest_colour_even():
     assert zielonka(g).even == {0, 1}
 
 
+def test_solve_zielonka_takes_no_budget():
+    g = generate_random(8, 4, (1, 3), 4)
+    with pytest.raises(ValueError, match="zielonka takes no budget"):
+        solve(g, "zielonka", e=g.even_vertex_count)
+    assert solve(g, "zielonka") == zielonka(normalize_colours(g)[0])
+
+
 def test_zielonka_matches_brute_force_on_random_games():
     for seed in range(60):
         n = 3 + seed % 4
@@ -290,7 +297,7 @@ def test_product_solve_leaves_the_collector_as_it_found_it(monkeypatch):
         gc.enable()
 
 
-def test_antagonistic_products_above_the_table_cap_fail_fast():
+def test_antagonistic_products_above_the_table_cap_fail_fast(monkeypatch):
     # Above the table cap every antagonistic step is a constructive update,
     # computed once per memo.  The pinned products take 981 of them; those
     # of the seed-11 game run past the memo's cap, which raises and drops
@@ -306,17 +313,25 @@ def test_antagonistic_products_above_the_table_cap_fail_fast():
         return sum(q >= 0 for row in moves.values() for q in row)
 
     assert automata.CONSTRUCTIVE_STEP_CAP == 10_000
-    automata.step_memo.cache_clear()
+    automata._shared_memo.cache_clear()
     assert pinned_product_steps() == 981
     with pytest.raises(ResourceCapError, match="cap of 10000 constructive steps"):
         solve(ABOVE_CAP_BASIC_GAME, "product", classic, antagonistic, ABOVE_CAP_E)
-    assert automata.step_memo.cache_info().currsize == 0
+    assert automata._shared_memo.cache_info().currsize == 0
     assert pinned_product_steps() == 981
+    # The rule sets share the memo, and each may compute the cap's worth.
+    with monkeypatch.context() as m:
+        m.setattr(automata, "CONSTRUCTIVE_STEP_CAP", 981)
+        for variant in UpdateVariant:
+            solve(ABOVE_CAP_GAME, "product", variant, antagonistic, ABOVE_CAP_E)
 
 
 def test_antagonistic_steps_above_the_table_cap_take_the_constructive_update(monkeypatch):
     # The memo calls the constructive update once per step, through the
-    # updates module, and never asks for the table again.
+    # updates module, and never asks for the table again.  Each product
+    # takes 981 steps; the colour one reads the concise rows on colours 1,
+    # 2 and the odd ones (same statespace, same rule) and computes only
+    # the other 487.
     constructive = updates.antagonistic_update_fast
     calls = []
 
@@ -328,11 +343,11 @@ def test_antagonistic_steps_above_the_table_cap_take_the_constructive_update(mon
     monkeypatch.setattr(updates, "antagonistic_update_fast", counted)
     monkeypatch.setattr(updates, "rank_table", asked)
     monkeypatch.setattr(SepAutomaton, "step", asked)
-    automata.step_memo.cache_clear()
+    automata._shared_memo.cache_clear()
     for variant in UpdateVariant:
         got = solve(ABOVE_CAP_GAME, "product", variant, UpdateKind.ANTAGONISTIC, ABOVE_CAP_E)
         assert got == zielonka(ABOVE_CAP_GAME), variant
-    assert len(calls) == 3 * 981
+    assert len(calls) == 981 + 981 + 487
 
 
 @pytest.mark.parametrize(
@@ -377,7 +392,7 @@ def test_product_cap_fails_before_exploring_the_product(monkeypatch):
         moves = automata.step_memo(aut.bounds, aut.variant, aut.kind)[2]
         return sum(q >= 0 for row in moves.values() for q in row)
 
-    automata.step_memo.cache_clear()
+    automata._shared_memo.cache_clear()
     with monkeypatch.context() as m:
         m.setattr(solvers, "PRODUCT_CAP", cap)
         with pytest.raises(ResourceCapError, match=f"cap of {cap} positions"):

@@ -18,7 +18,7 @@ from oracles import (
     update_space,
 )
 from pgwitness import updates, witnesses
-from pgwitness.automata import SepAutomaton, UpdateKind, bounds_for_game, step_memo
+from pgwitness.automata import SepAutomaton, UpdateKind, _shared_memo, bounds_for_game, step_memo
 from pgwitness.counting import (
     count_classic_by_value,
     count_concise_by_value,
@@ -31,12 +31,14 @@ from pgwitness.updates import (
     UpdateVariant,
     _antagonistic_table,
     _column,
+    _kernel,
     _kernels,
     _ranked_space,
     antagonistic_update,
     antagonistic_update_fast,
     capped_update,
     rank_table,
+    rule_set,
     space_size,
     space_variant_for,
 )
@@ -321,18 +323,78 @@ def test_kernels_equal_the_plainly_written_reference(reference, variant):
 
 
 def test_colour_and_concise_rules_agree_on_odd_colours_and_colour_2():
-    # The lemma behind the columns the colour table shares with the
-    # concise one (see ``updates._antagonistic_table``).
+    # The lemma behind the rules the colour rule set shares with the
+    # concise one (see ``updates._antagonistic_table``): the plainly
+    # written colour rules give the concise kernels' state there.
     differ = 0
     for b in SWEEP + BENCHMARK_BOUNDS:
-        colour, concise = _kernels(b, COLOUR), _kernels(b, CONCISE)
+        concise = _kernels(b, CONCISE)
         for w in update_space(b, CONCISE):
             for d in b.colours:
+                colour = raw_colour_reference(w, d, b)[0]
                 if d % 2 or d == 2:
-                    assert colour[d](w) == concise[d](w), (b, w, d)
-                elif colour[d](w) != concise[d](w):
+                    assert colour == concise[d](w), (b, w, d)
+                elif colour != concise[d](w):
                     differ += 1
     assert differ > 0
+
+
+def the_rule(variant, d):
+    """The rule set whose rule ``variant`` applies on colour ``d``, as the
+    two lemmas say: colour 1 changes no state, the concise rules are the
+    classic ones on even colours, and the colour rules are the concise
+    ones on odd colours and on colour 2."""
+    if d == 1 or d % 2 == 0 and (variant is CONCISE or d == 2):
+        return CLASSIC
+    return CONCISE if d % 2 and variant is COLOUR else variant
+
+
+def assert_shared_exactly_by(objects, key):
+    """Two of ``objects`` (a dict by (rule set, colour)) are the same
+    object exactly when ``key`` gives them the same key."""
+    for (a, x), (b, y) in itertools.combinations(objects.items(), 2):
+        assert (x is y) == (key(*a) == key(*b)), (a, b)
+
+
+def test_kernels_columns_and_memo_rows_are_shared_exactly_by_rule():
+    for b in SWEEP + BENCHMARK_BOUNDS:
+        pairs = [(v, d) for v in UpdateVariant for d in b.colours]
+        assert all(rule_set(v, d) is the_rule(v, d) for v, d in pairs), b
+        rule = lambda v, d: (the_rule(v, d), d)  # noqa: E731
+        over_rule = lambda v, d: (space_variant_for(v), the_rule(v, d), d)  # noqa: E731
+        kernels = {v: _kernels(b, v) for v in UpdateVariant}
+        assert_shared_exactly_by({(v, d): kernels[v][d] for v, d in pairs}, rule)
+        for kind, key in ((UpdateKind.BASIC, rule), (UpdateKind.ANTAGONISTIC, over_rule)):
+            moves = {v: step_memo(b, v, kind)[2] for v in UpdateVariant}
+            assert_shared_exactly_by({(v, d): moves[v][d] for v, d in pairs}, key)
+        columns = {v: _antagonistic_table(b, v)[2] for v in UpdateVariant}
+        assert_shared_exactly_by({(v, d): columns[v][d] for v, d in pairs}, over_rule)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_basic_products_on_one_memo_share_exactly_the_steps_of_one_rule(seed):
+    # Classic, concise and colour products in that order on one memo give
+    # the answers they give each on a cleared memo, and the memo holds the
+    # union of their steps, a step shared by rule counted once.
+    g = normalize_colours(generate_random(40, 10, (1, 3), seed))[0]
+    bounds = bounds_for_game(g)
+    basic = UpdateKind.BASIC
+    alone, steps, taken = {}, set(), 0
+    for v in UpdateVariant:
+        _shared_memo.cache_clear()
+        stats: dict = {}
+        alone[v] = solve(g, "product", v, basic, stats=stats), stats
+        states, _, moves, _ = step_memo(bounds, v, basic)
+        for d, row in moves.items():
+            filled = [q for q, x in enumerate(row) if x >= 0]
+            steps.update((the_rule(v, d), d, states[q]) for q in filled)
+            taken += len(filled)
+    _shared_memo.cache_clear()
+    for v in UpdateVariant:
+        stats = {}
+        assert (solve(g, "product", v, basic, stats=stats), stats) == alone[v], v
+    rows = {id(row): row for v in UpdateVariant for row in step_memo(bounds, v, basic)[2].values()}
+    assert sum(x >= 0 for row in rows.values() for x in row) == len(steps) < taken
 
 
 def test_enumeration_records_the_block_ends_of_the_neighbour_comparison():
@@ -620,7 +682,7 @@ def test_a_cold_table_build_evaluates_the_rules_this_often(
 
 
 def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
-    ran: dict[UpdateVariant, set[int]] = {CONCISE: set(), COLOUR: set()}
+    ran: dict[UpdateVariant, set[int]] = {variant: set() for variant in UpdateVariant}
 
     def counted(bounds, variant):
         # The kernels themselves, recording each colour a column fetches.
@@ -649,18 +711,20 @@ def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
         solve(g, "lifting", variant, UpdateKind.ANTAGONISTIC, e)
         return {name: set(seen) for name, seen in ran.items()}
 
-    every = set(bounds.colours)
-    shared = {d for d in every if d % 2 or d == 2}
+    odd = {d for d in bounds.colours if d % 2 and d > 1}
+    low = {1, 2}  # the classic rules, for every rule set
+    even = set(bounds.colours) - odd - low
+    # The concise table runs the classic rules on 1 and the even colours.
     # A colour lifting solve after a concise one runs only the colour
     # rules, and only for the even colours from 4 up.
-    assert rules_run_by(CONCISE) == {CONCISE: every, COLOUR: set()}
-    assert rules_run_by(COLOUR) == {CONCISE: set(), COLOUR: every - shared}
-    # Cold, a colour solve builds the shared columns with the concise
-    # rules and no concise column of an even colour from 4 up.
+    assert rules_run_by(CONCISE) == {CLASSIC: low | even, CONCISE: odd, COLOUR: set()}
+    assert rules_run_by(COLOUR) == {CLASSIC: set(), CONCISE: set(), COLOUR: even}
+    # Cold, a colour solve builds the shared columns with the classic and
+    # concise rules and no concise column of an even colour from 4 up.
     _antagonistic_table.cache_clear()
     _column.cache_clear()
-    assert rules_run_by(COLOUR) == {CONCISE: shared, COLOUR: every - shared}
-    assert rules_run_by(CONCISE) == {CONCISE: every - shared, COLOUR: set()}
+    assert rules_run_by(COLOUR) == {CLASSIC: low, CONCISE: odd, COLOUR: even}
+    assert rules_run_by(CONCISE) == {CLASSIC: even, CONCISE: set(), COLOUR: set()}
 
 
 @pytest.mark.parametrize(
@@ -669,7 +733,9 @@ def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
 def test_memo_basic_steps_equal_the_capped_update(bounds):
     # Every state of these statespaces is reached from the initial one,
     # so closing the memo under every colour steps from each of them.
+    # The rule sets share one memo, so each starts from a cleared one.
     for variant in UpdateVariant:
+        _shared_memo.cache_clear()
         states, state_id, _, take = step_memo(bounds, variant, UpdateKind.BASIC)
         won = state_id[WON]
         steps = {}
@@ -703,22 +769,26 @@ def test_statespace_ranks_and_step_memos_are_cached_per_statespace_and_bounds():
     assert _ranked_space.cache_info().misses == ranked + 2
     assert tables[CONCISE][1] is tables[COLOUR][1] is _ranked_space(b, StatespaceVariant.CONCISE)[1]
     assert tables[CLASSIC][1] is not tables[CONCISE][1]
-    # Solves that share Bounds share one memo per automaton.
+    # Solves that share Bounds share one memo per update kind, whatever
+    # their rule sets.
     g = generate_random(30, 9, (1, 3), 0)
     h = generate_random(30, 9, (1, 3), 1)
     for game in (g, h):
         assert bounds_for_game(normalize_colours(game)[0], 37) == b
     solve(g, "product", CONCISE, UpdateKind.BASIC, 37)
-    misses = step_memo.cache_info().misses
-    memo = step_memo(b, CONCISE, UpdateKind.BASIC)
-    solve(h, "product", CONCISE, UpdateKind.BASIC, 37)
-    assert step_memo.cache_info().misses == misses
-    assert step_memo(b, CONCISE, UpdateKind.BASIC) is memo
+    misses = _shared_memo.cache_info().misses
+    memo = _shared_memo(b, UpdateKind.BASIC)
+    for variant in UpdateVariant:
+        solve(h, "product", variant, UpdateKind.BASIC, 37)
+        states, state_id = step_memo(b, variant, UpdateKind.BASIC)[:2]
+        assert states is memo[0] and state_id is memo[1], variant
+    assert _shared_memo.cache_info() == (misses, 1)
+    assert _shared_memo(b, UpdateKind.BASIC) is memo
     # A new Bounds drops the memos and tables of the old one.
     step_memo(Bounds(9, 38), CLASSIC, UpdateKind.BASIC)
-    assert step_memo.cache_info() == (misses + 1, 1)
+    assert _shared_memo.cache_info() == (misses + 1, 1)
     assert _ranked_space.cache_info().currsize == 0
-    assert step_memo(b, CONCISE, UpdateKind.BASIC) is not memo
+    assert _shared_memo(b, UpdateKind.BASIC) is not memo
 
 
 PER_BOUNDS_CACHES = (
@@ -727,7 +797,8 @@ PER_BOUNDS_CACHES = (
     _column,
     _antagonistic_table,
     _kernels,
-    step_memo,
+    _kernel,
+    _shared_memo,
 )
 
 
@@ -735,17 +806,18 @@ def solved_entries(bounds):
     """The arguments of every entry the per-Bounds caches hold after
     lifting and basic product solves of every rule set with ``bounds``."""
     spaces = [(bounds, space) for space in set(map(space_variant_for, UpdateVariant))]
+    rules = [(v, d) for v in UpdateVariant for d in bounds.colours]
     return {
         witnesses._statespace: spaces,
         _ranked_space: spaces,
-        # Every colour under the classic and concise rules, and the even
-        # colours from 4 up under the colour rules: the colour table
-        # reads the concise columns of the others.
-        _column: [(bounds, variant, d) for variant in (CLASSIC, CONCISE) for d in bounds.colours]
-        + [(bounds, COLOUR, d) for d in bounds.colours if d % 2 == 0 and d > 2],
+        # One column per statespace and rule: the colour table reads the
+        # concise columns of colour 1, colour 2 and the odd colours.
+        _column: list({(bounds, space_variant_for(v), the_rule(v, d), d) for v, d in rules}),
         _antagonistic_table: [(bounds, variant) for variant in UpdateVariant],
         _kernels: [(bounds, variant) for variant in UpdateVariant],
-        step_memo: [(bounds, variant, UpdateKind.BASIC) for variant in UpdateVariant],
+        # One kernel per rule, and one basic step memo for every rule set.
+        _kernel: list({(bounds, the_rule(v, d), d) for v, d in rules}),
+        _shared_memo: [(bounds, UpdateKind.BASIC)],
     }
 
 
@@ -781,7 +853,7 @@ def test_per_bounds_caches_keep_one_bounds_worth():
         )
     # A call with another Bounds empties every cache before computing.
     _kernels(Bounds(max_colour=6, e=e + 1), CONCISE)
-    assert [cache.cache_info().currsize for cache in PER_BOUNDS_CACHES] == [0, 0, 0, 0, 1, 0]
+    assert [cache.cache_info().currsize for cache in PER_BOUNDS_CACHES] == [0, 0, 0, 0, 1, 6, 0]
 
 
 def test_enumerations_of_other_bounds_leave_nothing_behind_a_solve():
