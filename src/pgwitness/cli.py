@@ -67,16 +67,6 @@ def rows_csv(rows: Sequence[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _variant(name: str) -> UpdateVariant:
-    return UpdateVariant(name)
-
-
-def _resolve_kind(algo: str, update: str | None) -> UpdateKind:
-    if update is None:
-        return UpdateKind.ANTAGONISTIC if algo == "lifting" else UpdateKind.BASIC
-    return UpdateKind(update)
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo == "zielonka":
         given = [f"--{opt}" for opt in ("variant", "update", "e") if getattr(args, opt) is not None]
@@ -84,11 +74,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
             raise ValueError(f"--algo zielonka takes no {', '.join(given)}")
     with open(args.file, "r", encoding="utf-8") as fh:
         game = parse_pgsolver(fh.read())
-    kind = _resolve_kind(args.algo, args.update)
+    variant = UpdateVariant(args.variant) if args.variant else None
+    kind = UpdateKind(args.update) if args.update else None
     stats: dict = {}
-    result = solve(
-        game, args.algo, _variant(args.variant or "concise"), kind, args.e, stats=stats
-    )
+    result = solve(game, args.algo, variant, kind, args.e, stats=stats)
     ids = game.ids if game.ids is not None else tuple(game.vertices())
     even = sorted(ids[v] for v in result.even)
     odd = sorted(ids[v] for v in result.odd)
@@ -106,7 +95,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise ValueError("--max-colour below a colour in the word")
     bounds = Bounds(max_colour=max_colour, e=args.e, min_colour=args.min_colour)
     kind = UpdateKind(args.update)
-    automaton = SepAutomaton(bounds=bounds, variant=_variant(args.variant), kind=kind)
+    automaton = SepAutomaton(bounds=bounds, variant=UpdateVariant(args.variant), kind=kind)
     states = automaton.run(word)
     accepted_at = None
     for i, d in enumerate(word):

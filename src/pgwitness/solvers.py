@@ -346,28 +346,38 @@ def solve_lifting(
 def solve(
     game: ParityGame,
     algo: str = "zielonka",
-    variant: UpdateVariant = UpdateVariant.CONCISE,
-    kind: UpdateKind = UpdateKind.BASIC,
+    variant: UpdateVariant | None = None,
+    kind: UpdateKind | None = None,
     e: int | None = None,
     *,
     stats: dict | None = None,
 ) -> WinningSets:
     """Normalizing front door: solve with any algorithm/variant/update.
 
-    The one place a witness solve is decided.  Colours are normalized
-    (winner-preserving) and the bounds derived once, ``e`` defaulting to
-    the number of even-coloured vertices; a budget of 0 means Odd wins
-    everywhere, with no witness machinery and a work count of 0.
+    The one place a witness solve is decided.  ``variant`` defaults to
+    the concise rule set, and ``kind`` to the antagonistic update for
+    lifting and the basic one for product; zielonka takes none of the
+    witness options (``variant``, ``kind``, ``e``).  Colours are
+    normalized (winner-preserving) and the bounds derived once, ``e``
+    defaulting to the number of even-coloured vertices; a budget of 0
+    means Odd wins everywhere, with no witness machinery and a work count
+    of 0.
     """
     if algo not in ("zielonka", "lifting", "product"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    if algo == "lifting" and kind is UpdateKind.BASIC:
-        raise ValueError("lifting requires the antagonistic update (monotonicity)")
-    if algo == "zielonka" and e is not None:
-        raise ValueError("zielonka takes no budget e")
-    norm, _ = normalize_colours(game)
     if algo == "zielonka":
-        return zielonka(norm, stats=stats)
+        options = (("variant", variant), ("update kind", kind), ("budget e", e))
+        given = [name for name, x in options if x is not None]
+        if given:
+            raise ValueError(f"zielonka takes no {', '.join(given)}")
+        return zielonka(normalize_colours(game)[0], stats=stats)
+    if variant is None:
+        variant = UpdateVariant.CONCISE
+    if kind is None:
+        kind = UpdateKind.ANTAGONISTIC if algo == "lifting" else UpdateKind.BASIC
+    elif algo == "lifting" and kind is UpdateKind.BASIC:
+        raise ValueError("lifting requires the antagonistic update (monotonicity)")
+    norm, _ = normalize_colours(game)
     bounds = bounds_for_game(norm, e)
     if bounds is None:
         if stats is not None:

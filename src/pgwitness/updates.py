@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 from typing import Callable
 
-from .errors import InternalInvariantError
 from .witnesses import (
     BLANK,
     WON,
@@ -395,7 +394,7 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
 
     Columns are filled a block at a time (see ``witnesses.Statespace``).  The
     least outcome over a block is the outcome of its first state, as
-    ``antagonistic_update_fast`` shows, so ``col[r] = min(out(r),
+    ``antagonistic_update`` shows, so ``col[r] = min(out(r),
     col[end])`` for the block ``r..end-1``; when ``out(r)`` is not below
     ``col[end]`` the whole block holds ``col[end]`` and none of its other
     states is evaluated.  Columns are suffix minima, so non-decreasing:
@@ -519,10 +518,11 @@ def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
     """The antagonistic table, or None when antagonistic steps must take
     the constructive routine.
 
-    This is the only place the table-or-constructive choice is made
-    (solvers ask once per solve, ``antagonistic_update`` once per step),
-    from the exact statespace size: nothing is enumerated or built when
-    the statespace has more than ``ANTAGONISTIC_TABLE_CAP`` states.
+    This is the only place the table-or-constructive choice is made, and
+    the solvers ask once per solve; a single step (``antagonistic_update``)
+    is always constructive.  The choice is made from the exact statespace
+    size: nothing is enumerated or built when the statespace has more
+    than ``ANTAGONISTIC_TABLE_CAP`` states.
     """
     if space_size(bounds, variant) > ANTAGONISTIC_TABLE_CAP:
         return None
@@ -532,31 +532,9 @@ def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
 def antagonistic_update(
     s: State, d: int, bounds: Bounds, variant: UpdateVariant
 ) -> State:
-    """Antagonistic update for production use: a lookup in the table
-    ``rank_table`` gives, or the constructive routine when it gives none.
-    A state outside the rule set's statespace raises ValueError on both
-    paths.
-    """
-    if s is WON:
-        _check_colour(d, bounds)
-        return WON
-    table = rank_table(bounds, variant)
-    if table is None:
-        return antagonistic_update_fast(s, d, bounds, variant)
-    space, rank, columns = table
-    _check_colour(d, bounds)
-    r = rank.get(s)
-    if r is None:
-        _check_state(s, bounds, variant)
-        raise InternalInvariantError(f"state {s} passes the statespace check but has no rank")
-    r = columns[d][r]
-    return WON if r == len(space) else space[r]
-
-
-def antagonistic_update_fast(
-    s: State, d: int, bounds: Bounds, variant: UpdateVariant
-) -> State:
-    """Constructive antagonistic update; no statespace enumeration.
+    """The antagonistic update of one state, built constructively: no
+    statespace is enumerated and no table built, at any statespace size.
+    The solvers read whole columns from ``rank_table`` instead.
 
     Every state above ``s`` agrees with ``s`` above some position ``t``
     and beats it at ``t``.  For a fixed divergence entry, the least
@@ -613,3 +591,8 @@ def antagonistic_update_fast(
             if rk < best_key:
                 best, best_key = r, rk
     return best
+
+
+# One routine, two names: the package exports both, and step_memo and
+# perfbench/tracing.py look up this one.
+antagonistic_update_fast = antagonistic_update

@@ -29,6 +29,7 @@ UPDATES = "src/pgwitness/updates.py"
 SOLVERS = "src/pgwitness/solvers.py"
 AUTOMATA = "src/pgwitness/automata.py"
 WITNESSES = "src/pgwitness/witnesses.py"
+GAMES = "src/pgwitness/games.py"
 
 ORACLE = "tests/test_updates.py::test_block_filled_table_equals_the_suffix_minimum_oracle"
 RULE_COUNTS = "tests/test_updates.py::test_a_cold_table_build_evaluates_the_rules_this_often"
@@ -126,6 +127,14 @@ MUTANTS = (
         (ORACLE,),
     ),
     Mutant(
+        "rank-table-of-another-rule-set",
+        UPDATES,
+        "return _antagonistic_table(bounds, variant)",
+        "return _antagonistic_table("
+        "bounds, UpdateVariant.CONCISE if variant is UpdateVariant.COLOUR else variant)",
+        ("tests/test_updates.py::test_antagonistic_reference_fast_and_table_agree",),
+    ),
+    Mutant(
         "statespace-check-without-the-value-bound",
         UPDATES,
         "if not s[-1] & 1 and witness_value(s) <= bounds.e:",
@@ -179,6 +188,28 @@ MUTANTS = (
             "tests/test_updates.py::"
             "test_enumeration_records_the_block_ends_of_the_neighbour_comparison",
         ),
+    ),
+    Mutant(
+        "per-bounds-caches-kept-across-a-bounds-switch",
+        WITNESSES,
+        "c.clear()",
+        "pass",
+        ("tests/test_updates.py::test_per_bounds_caches_keep_one_bounds_worth",),
+    ),
+    # Game files and the game graph (games).
+    Mutant(
+        "semicolon-in-a-quoted-name-ends-the-statement",
+        GAMES,
+        "if end >= 0 and text.count('\"', start, end) & 1:",
+        "if False:",
+        ("tests/test_games.py::test_quoted_name_may_hold_a_semicolon",),
+    ),
+    Mutant(
+        "predecessors-repeat-a-repeated-edge",
+        GAMES,
+        "for w in dict.fromkeys(self.succ[v]):",
+        "for w in self.succ[v]:",
+        ("tests/test_games.py::test_predecessors_list_a_repeated_edge_once",),
     ),
     # The one way into the witness solvers (solvers.solve, automata.admit).
     Mutant(

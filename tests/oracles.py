@@ -7,19 +7,21 @@ check.  Beside them live the specification the rules are checked
 against: the witness order as a three-way comparison, odd-repeat
 truncation, the semantic checkers that decide whether a play prefix
 holds the chain fragments a witness claims, random plays with their
-longest even chains, and the half-budget counting identity.
+longest even chains, and the half-budget counting identity.  One helper,
+``table_update``, reads the package's own rank table, so that checks can
+compare it with the references and with the constructive routine.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from pgwitness.counting import _check, count_concise_by_length
 from pgwitness.errors import GameParseError, InternalInvariantError, ResourceCapError
 from pgwitness.games import EVEN, ParityGame
-from pgwitness.updates import UpdateVariant, capped_update, space_variant_for
+from pgwitness.updates import UpdateVariant, capped_update, rank_table, space_variant_for
 from pgwitness.witnesses import (
     BLANK,
     WON,
@@ -348,6 +350,22 @@ def antagonistic_reference(
         d: {s: states[r] for s, r in zip(states, col)}
         for d, col in suffix_minimum_columns(bounds, variant).items()
     }
+
+
+def table_update(bounds: Bounds, variant: UpdateVariant) -> Callable[[State, int], State]:
+    """The antagonistic update as the solvers read it from
+    ``updates.rank_table``: ``table_update(bounds, variant)(s, d)`` takes
+    ``s`` (WON included) to its rank, reads ``columns[d]`` there and
+    returns the state of that rank, or WON.  The statespace must be
+    within the table cap."""
+    space, rank, columns = rank_table(bounds, variant)
+    won = len(space)
+
+    def update(s: State, d: int) -> State:
+        r = columns[d][won if s is WON else rank[s]]
+        return WON if r == won else space[r]
+
+    return update
 
 
 def product_even_region(

@@ -29,6 +29,7 @@ from oracles import (
     longest_even_chain,
     play_word,
     random_play,
+    table_update,
     truncate_odd_repeats,
     update_space,
     witness_cmp,
@@ -53,7 +54,6 @@ from pgwitness.solvers import differential, solve
 from pgwitness.updates import (
     UpdateVariant,
     antagonistic_update,
-    antagonistic_update_fast,
     capped_update,
     space_variant_for,
 )
@@ -373,10 +373,10 @@ def test_criterion_6_update_soundness():
 def test_criterion_7_order_and_monotonicity():
     """Order and monotonicity on every criterion-4 update statespace.
 
-    The antagonistic update used in production is the suffix-minima
-    table, which this test compares in bulk against the constructive
-    routine (``antagonistic_update_fast``) on every state and colour,
-    and against the per-state suffix-minimum reference
+    The solvers read the antagonistic update from the suffix-minima
+    table (``oracles.table_update``), which this test compares in bulk
+    against the constructive routine (``antagonistic_update``) on every
+    state and colour, and against the per-state suffix-minimum reference
     (``oracles.antagonistic_reference``) on sampled states.
     """
     t0 = time.perf_counter()
@@ -408,26 +408,25 @@ def test_criterion_7_order_and_monotonicity():
                                 j,
                             )
                             order_pairs += 1
+                    table = table_update(b, variant)
                     for d in range(b.min_colour, b.max_colour + 1):
                         prev_key = None
                         for s in space:
-                            out = antagonistic_update(s, d, b, variant)
+                            out = table(s, d)
                             k = state_key(out)
                             if prev_key is not None:
                                 assert prev_key <= k, (b, variant, d, s)
                             prev_key = k
-                            assert antagonistic_update_fast(s, d, b, variant) == out, (
+                            assert antagonistic_update(s, d, b, variant) == out, (
                                 b,
                                 variant,
                                 d,
                                 s,
                             )
                             au_checks += 1
-                        assert antagonistic_update(WON, d, b, variant) is WON
+                        assert table(WON, d) is antagonistic_update(WON, d, b, variant) is WON
                         for s in rng.sample(space, min(4, len(space))):
-                            assert reference[d][s] == antagonistic_update(
-                                s, d, b, variant
-                            ), (b, variant, d, s)
+                            assert reference[d][s] == table(s, d), (b, variant, d, s)
                             ref_spots += 1
                 con_space = update_space(b, UpdateVariant.CONCISE)
                 for d in range(b.min_colour, b.max_colour + 1):

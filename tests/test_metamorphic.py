@@ -18,13 +18,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgwitness.automata import UpdateKind
 from pgwitness.games import EVEN, ODD, ParityGame, generate_random
 from pgwitness.solvers import DIFF_METHODS, solve
-from pgwitness.updates import UpdateVariant
 
 # Zielonka and the nine witness configurations.
-CONFIGS = [("zielonka", UpdateVariant.CONCISE, UpdateKind.BASIC)] + [
+CONFIGS = [("zielonka", None, None)] + [
     (algo, variant, kind) for _, algo, variant, kind in DIFF_METHODS
 ]
 

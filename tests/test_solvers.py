@@ -512,9 +512,36 @@ def test_solve_rejects_budgets_below_the_even_vertex_count():
 def test_solve_normalizes_before_solving():
     # Colours {3, 4} normalize to {1, 2}; winner is unchanged.
     g = game([EVEN, ODD], [4, 3], [[1], [0]])
-    for algo in ("zielonka", "product", "lifting"):
+    assert solve(g, "zielonka").even == {0, 1}
+    for algo in ("product", "lifting"):
         res = solve(g, algo, UpdateVariant.COLOUR, UpdateKind.ANTAGONISTIC)
         assert res.even == {0, 1}, algo
+
+
+def test_solve_defaults_the_witness_options_by_algorithm(monkeypatch):
+    # Lifting takes the antagonistic update and product the basic one,
+    # both on the concise rule set.
+    g = generate_random(8, 4, (1, 3), 0)
+    assert solve(g, "lifting") == solve(g, "product") == zielonka(g)
+    seen = []
+    monkeypatch.setattr(
+        solvers, "solve_lifting", lambda game, bounds, variant, stats: seen.append(variant)
+    )
+    monkeypatch.setattr(
+        solvers, "solve_product", lambda game, a, stats: seen.append((a.variant, a.kind))
+    )
+    solve(g, "lifting")
+    solve(g, "product")
+    assert seen == [UpdateVariant.CONCISE, (UpdateVariant.CONCISE, UpdateKind.BASIC)]
+
+
+def test_solve_zielonka_rejects_the_witness_options():
+    # As the CLI does, with exit code 2.
+    g = generate_random(8, 4, (1, 3), 0)
+    with pytest.raises(ValueError, match="zielonka takes no variant, update kind$"):
+        solve(g, "zielonka", UpdateVariant.COLOUR, UpdateKind.ANTAGONISTIC)
+    with pytest.raises(ValueError, match="zielonka takes no update kind$"):
+        solve(g, "zielonka", kind=UpdateKind.BASIC)
 
 
 def test_solve_lifting_with_basic_update_is_an_error():

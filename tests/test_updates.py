@@ -14,6 +14,7 @@ from oracles import (
     raw_colour_reference,
     raw_concise_reference,
     suffix_minimum_columns,
+    table_update,
     truncate_odd_repeats,
     update_space,
 )
@@ -255,13 +256,10 @@ def test_the_statespace_check_accepts_exactly_the_enumerated_states():
                 assert ok == (w in space), (b, variant, w)
 
 
-@pytest.mark.parametrize("cap", [ANTAGONISTIC_TABLE_CAP, 0], ids=["within", "above"])
-def test_every_update_path_rejects_a_state_outside_the_statespace(monkeypatch, cap):
+def test_every_update_path_rejects_a_state_outside_the_statespace():
     # Four entries, but 2 before 4 against the order, or value 14 > 12;
     # and, with 9 entries at Bounds(10, 484), 2 before 4 again, or value
-    # 496 > 484.  Above the table cap antagonistic_update takes the
-    # constructive routine.
-    monkeypatch.setattr(updates, "ANTAGONISTIC_TABLE_CAP", cap)
+    # 496 > 484.
     big = Bounds(max_colour=10, e=484)
     cases = [
         (B6, (2, 4, B, B)),
@@ -460,41 +458,40 @@ def test_antagonistic_reference_fast_and_table_agree():
         b = Bounds(max_colour=maxc, e=e)
         for variant in UpdateVariant:
             reference = antagonistic_reference(b, variant)
+            table = table_update(b, variant)
             for w in update_space(b, variant) + (WON,):
                 for d in b.colours:
                     ref = reference[d][w]
-                    fast = antagonistic_update_fast(w, d, b, variant)
-                    table = antagonistic_update(w, d, b, variant)
-                    assert state_key(ref) == state_key(fast) == state_key(table)
+                    fast = antagonistic_update(w, d, b, variant)
+                    assert state_key(ref) == state_key(fast) == state_key(table(w, d))
 
 
 def test_antagonistic_monotone_in_the_state():
     b = Bounds(max_colour=5, e=6)
     for variant in UpdateVariant:
         space = update_space(b, variant) + (WON,)
+        table = table_update(b, variant)
         for d in b.colours:
-            images = [
-                state_key(antagonistic_update(w, d, b, variant)) for w in space
-            ]
+            images = [state_key(table(w, d)) for w in space]
             assert images == sorted(images)
 
 
-def test_antagonistic_falls_back_to_fast_above_the_table_cap(monkeypatch):
-    monkeypatch.setattr(updates, "ANTAGONISTIC_TABLE_CAP", 5)
-    b = Bounds(max_colour=6, e=31)
-    got = antagonistic_update((B,) * 5, 2, b, CONCISE)
-    assert got == antagonistic_update_fast((B,) * 5, 2, b, CONCISE)
-
-
-def test_antagonistic_above_the_table_cap_enumerates_nothing():
+def test_antagonistic_update_enumerates_and_ranks_nothing_at_any_statespace_size():
+    # One constructive routine under both names, stepping both above the
+    # table cap and, from cold caches (the Bounds switch empties them),
+    # within it: ``pgwitness trace --colours 4,7 --e 90 --max-colour 16``.
+    assert antagonistic_update is antagonistic_update_fast
+    misses = witnesses._statespace.cache_info().misses, _ranked_space.cache_info().misses
     b = Bounds(max_colour=10, e=484)
     assert space_size(b, CONCISE) == 291606 > ANTAGONISTIC_TABLE_CAP
     start = (6, 3) + (B,) * 7
-    misses = witnesses._statespace.cache_info().misses
-    for d in (4, 7):
-        got = antagonistic_update(start, d, b, CONCISE)
-        assert got == antagonistic_update_fast(start, d, b, CONCISE)
-    assert witnesses._statespace.cache_info().misses == misses
+    assert antagonistic_update(start, 4, b, CONCISE) == (6, 4) + (B,) * 7
+    assert antagonistic_update(start, 7, b, CONCISE) == (7,) + (B,) * 8
+    b = Bounds(max_colour=16, e=90)
+    assert space_size(b, CONCISE) == 196284 <= ANTAGONISTIC_TABLE_CAP
+    run = SepAutomaton(b, CONCISE, UpdateKind.ANTAGONISTIC).run([4, 7])
+    assert run == [(B,) * 7, (B,) * 6 + (4,), (B,) * 7]
+    assert (witnesses._statespace.cache_info().misses, _ranked_space.cache_info().misses) == misses
 
 
 def test_space_size_is_the_enumerated_size():
