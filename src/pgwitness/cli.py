@@ -27,6 +27,7 @@ from .witnesses import (
     WON,
     Bounds,
     StatespaceVariant,
+    capped_statespace_size,
     enumerate_statespace,
     state_str,
 )
@@ -114,10 +115,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         max_colour=args.max_colour, e=args.e, min_colour=args.min_colour
     )
     variant = StatespaceVariant(args.variant)
-    states = enumerate_statespace(bounds, variant, cap=args.cap)
     if args.count_only:
-        print(len(states))
+        print(capped_statespace_size(bounds, variant, args.cap))
         return 0
+    states = enumerate_statespace(bounds, variant, cap=args.cap)
     for s in states:
         print(state_str(s))
     print(f"# {len(states)} states")

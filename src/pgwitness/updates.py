@@ -299,30 +299,43 @@ def _ranked_space(
 
 
 @last_bounds_cache
-def _column(bounds: Bounds, over: StatespaceVariant, rule: UpdateVariant, d: int) -> list[int]:
+def _column(
+    bounds: Bounds, over: StatespaceVariant, rule: UpdateVariant, d: int
+) -> tuple[list[int], int]:
     """The antagonistic column of colour ``d`` under ``rule``'s rules on
     the statespace ``over``, built on first use (see
-    ``_antagonistic_table``)."""
+    ``_antagonistic_table``), and how many outcomes the fill read: heads
+    and leaf runs it could not fill from the ranks or squeeze.  The
+    colour rules' own columns read them from their kernel; every other
+    column reads them from the block tree."""
     space, rank, ends, ranks, least = _ranked_space(bounds, over)
-    kernel = _kernels(bounds, rule)[d]
-    if kernel is _unchanged:
-        # Every state's outcome is itself, so the suffix minima are the
-        # ranks.
-        return ranks
     won = len(space)
+    if d == 1:
+        # No state changes, so the suffix minima are the ranks.
+        return ranks, 0
     odd = d & 1
+    if odd and d == bounds.max_colour:
+        # Every state resets to the all-Blank one, of rank 0.
+        return [0] * won + [won], 0
+    kernel = _kernels(bounds, rule)[d] if rule is UpdateVariant.COLOUR else None
+    L = bounds.length
+    tails = _tails(d, L)
     below = (d - 1) // 2  # how many of the leaf entries 2, 4, ... are below d
     col = [won] * (won + 1)
+    reads = 0
     # Every block popped here starts with a head (a state ending in
     # Blank) followed by its leaves.  The blocks still to fill are (head,
     # the entry of the first state of the block around it, or -1 for the
-    # whole space); a leaf run with sub-blocks after it waits as (~head,
-    # end of the run).  Sub-blocks are pushed left to right, so an entry
-    # is popped only after everything to its right is filled, and ``col``
-    # is final where it is read.
-    todo = [(0, -1)]
+    # whole space, the head's outcome when its parent settles it, else
+    # None); a leaf run with sub-blocks after it waits as (~head, end of
+    # the run, None).  Sub-blocks are pushed left to right, so an entry
+    # is popped only after everything to its right is filled, and
+    # ``col`` is final where it is read.  A head's sub-blocks with their
+    # entry at the same index form a *group*, in the entry order, and a
+    # sub-block's least entry is that entry.
+    todo = [(0, -1, None)]
     while todo:
-        h, end = todo.pop()
+        h, end, given = todo.pop()
         if h < 0:
             h = ~h
             out, right = col[h], col[end]
@@ -339,10 +352,21 @@ def _column(bounds: Bounds, over: StatespaceVariant, rule: UpdateVariant, d: int
                 else:
                     out = ranks[h + (d >> 1)] if end > h + 1 else won
             else:
-                # A stale rule returns its input itself, which is of rank h.
-                w = space[h]
-                s = kernel(w)
-                out = ranks[h] if s is w else rank.get(s, won)
+                reads += 1
+                if kernel:
+                    # A stale rule returns its input itself, of rank h.
+                    w = space[h]
+                    s = kernel(w)
+                    out = ranks[h] if s is w else rank.get(s, won)
+                elif given is not None:
+                    out = given
+                else:
+                    # The sibling with d in place of P's least entry, later
+                    # in the same group (even d).
+                    s = ends[h]
+                    while least[s] != d:
+                        s = ends[s]
+                    out = ranks[s]
             if out >= right:
                 col[h:end] = [right] * (end - h)
                 continue
@@ -356,10 +380,25 @@ def _column(bounds: Bounds, over: StatespaceVariant, rule: UpdateVariant, d: int
             c = h + 1 + (least[h] >> 1)  # the leaves are h+1 .. c-1
             if c < end:
                 # Sub-blocks follow the leaves.
-                todo.append((~h, c))
-                while c < end:
-                    todo.append((c, out))
-                    c = ends[c]
+                todo.append((~h, c, None))
+                if odd:
+                    # h is stale.  A sub-block whose P has an entry below
+                    # d goes to its sibling with d in place of that entry,
+                    # earlier in the same group: the last sub-block seen
+                    # whose least entry is d.
+                    sibling = None
+                    while c < end:
+                        if least[c] == d:
+                            sibling = ranks[c]
+                        todo.append((c, out, sibling))
+                        c = ends[c]
+                else:
+                    # When P has an entry below d, every sub-block writes
+                    # where h does and takes h's outcome.
+                    given = out if least[h] < d else None
+                    while c < end:
+                        todo.append((c, out, given))
+                        c = ends[c]
                 continue
         # The leaf run h+1 .. end-1, between col[h] == out and col[end] == right.
         if odd:
@@ -373,11 +412,44 @@ def _column(bounds: Bounds, over: StatespaceVariant, rule: UpdateVariant, d: int
         if out == right:
             v = out
         else:
-            v = rank.get(kernel(space[h + 1]), won)
+            reads += 1
+            if kernel:
+                v = rank.get(kernel(space[h + 1]), won)
+            else:
+                # Every leaf overflows at P's slot j, the rightmost index
+                # holding Blank or an odd colour, unless h writes locally
+                # before it: then every leaf writes there too.
+                w = space[h]
+                j = L - 2
+                if j < 0:
+                    v = won  # P is empty: no slot, and the leaves carry out
+                elif not w[j] or w[j] & 1:
+                    if least[h] < d:
+                        v = out
+                    elif w[j] or end < ends[h]:
+                        # P[:j] + (d, Blank): after the run, the next
+                        # sub-block with least entry d, of h's first group
+                        # when w[j] is Blank, of h's own group when odd.
+                        s = end
+                        while least[s] != d:
+                            s = ends[s]
+                        v = ranks[s]
+                    else:
+                        v = won  # no entry fits at j: past the budget
+                else:
+                    while j >= 0 and w[j] and not w[j] & 1:
+                        j -= 1
+                    t = j - 1
+                    while t >= 0 and not w[t]:
+                        t -= 1
+                    if t >= 0 and w[t] < d:
+                        v = out
+                    else:
+                        v = rank.get(w[:j] + tails[j], won) if j >= 0 else won
             if v > right:
                 v = right
         col[h + 1 : end] = [v] * (end - h - 1)
-    return col
+    return col, reads
 
 
 @last_bounds_cache
@@ -419,9 +491,9 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     ``P`` or room in the budget, and either lets position 0 hold one.
     When ``P`` ends in a non-Blank entry, the block is ``h`` and its
     leaves.  By the lemma below, each leaf run is filled from at most
-    one rule evaluation, on an odd colour a head that is not stale fills
-    its whole block, and a head whose ``P`` has no entry below the
-    colour needs no rule evaluated.
+    one outcome, on an odd colour a head that is not stale fills its
+    whole block, and a head whose ``P`` has no entry below the colour
+    takes its outcome from the ranks.
     ``h`` is *stale* when its outcome is ``h`` itself.  Colour 1 changes
     no state and has a column of its own; the greatest colour, when odd,
     sends every state to the all-Blank one, where the odd cases are
@@ -470,7 +542,65 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
       past the budget, WON (a state with non-Blank position 0 is in the
       space exactly when its value is at most ``e``, and the leaves of
       ``h`` are all there or none is).  No entry is below 2, so colour 2
-      evaluates no head, and one leaf per run.
+      reads no head's outcome, and one leaf per run.
+
+    The classic and concise columns read every other outcome from the
+    block tree, with no rule evaluated; only the colour rules' own
+    columns, of the even colours from 4 up, run their kernel.  The
+    sub-blocks of a head ``q`` whose entry lies at the same index ``i``
+    form a *group*, ``q[:i] + (y,) + Blanks`` for every ``y`` allowed
+    there, in the entry order; the least entry of such a sub-block is
+    ``y``, and every group of ``q`` holds the same entries.  Take a
+    head ``h = P + (Blank,)`` whose ``P`` has an entry below ``d``, its
+    least, ``y = P[i]`` at the index ``i`` of ``P``'s last non-Blank
+    entry, and ``p = P[:i] + Blanks``, the head in whose group at ``i``
+    ``h`` lies:
+
+    * *sibling*: no entry of ``p`` is below ``d``.  Both rule sets write
+      at the first index whose entry is below ``d``, which is ``i``; the
+      even classic rules find it before their overflow slot, ``h``'s
+      last index.  They give the sibling ``P[:i] + (d,) + Blanks``, the
+      member of ``h``'s group with entry ``d``, unless the concise rules
+      blank a ``d`` that ``p`` holds already.  That never reaches the
+      fill: ``d`` is then ``p``'s least entry, ``p`` is stale on the odd
+      ``d``, and the member of ``p``'s own group with entry 2, later than
+      ``p``'s block, also goes to ``p``, so ``p``'s block is squeezed
+      whole.  The same holds for a classic ``p`` whose least entry is an
+      odd ``d``, so on an odd colour ``p``'s least entry is above ``d``
+      and ``d`` is allowed in ``h``'s group.  The sibling is in the
+      space: its entries do not increase (those of ``p`` are at least
+      ``d``), it holds no odd entry at position 0 (``i`` is not the last
+      index), and its value is ``h``'s, since the two differ at ``i``
+      alone and are Blank after it, where the count of a value ends
+      either way.  Odd entries precede even ones, and odd ones go
+      down, so on an odd ``d`` the sibling comes before ``h`` in the
+      group and the fill remembers the last member with least entry
+      ``d`` as it pushes the group; on an even ``d`` it comes after ``h``
+      and the fill walks the group's block ends to it;
+    * *inherited*: an entry of ``p`` is below ``d``.  The rules write at
+      the first such index, in the entries ``h`` and ``p`` share, so
+      ``h`` has ``p``'s outcome.  The fill meets this on even colours
+      only (on an odd one ``p`` is not stale and its block was filled
+      whole), and ``p``'s sub-blocks are pushed only when ``p``'s outcome
+      is its entry, which each sub-block takes;
+    * *leaf run*, even ``d``: a leaf overflows at ``P``'s slot ``j``, the
+      rightmost index holding Blank or an odd colour, unless a local
+      write comes first, at the first index before ``j`` whose entry is
+      below ``d``.  Such an index is ``h``'s own write index (``h``'s
+      slot is its last index), and then the leaf has ``h``'s outcome.
+      Otherwise the leaf gives ``P[:j] + (d,) + Blanks``, WON when that
+      is past the budget, and WON when ``P`` has no slot.  When ``P``
+      ends in Blank or an odd entry, ``j`` is ``P``'s last index: with
+      an entry of ``P`` below ``d`` the leaf has ``h``'s outcome (``h``
+      writes before ``j``, or at ``j`` itself when only ``y`` is below
+      ``d``, which is the overflow), and otherwise ``P[:j] + (d, Blank)``
+      is the next sub-block with least entry ``d`` after the run: in
+      ``h``'s first group when ``P`` ends in Blank (past the budget when
+      ``h`` has no sub-blocks, as ``d`` is allowed there), in ``h``'s own
+      group when ``P`` ends in an odd entry, which is then above ``d``.
+      When ``P`` ends in an even entry the fill finds ``j`` and the local
+      write from ``h``'s entries and ranks the overflow through the rank
+      dict.
 
     ``_column`` keeps the last Bounds' columns by statespace and rule
     (``rule_set``), so the COLOUR table reads the CONCISE column, the
@@ -501,7 +631,7 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     """
     over = space_variant_for(variant)
     space, rank = _ranked_space(bounds, over)[:2]
-    columns = {d: _column(bounds, over, rule_set(variant, d), d) for d in bounds.colours}
+    columns = {d: _column(bounds, over, rule_set(variant, d), d)[0] for d in bounds.colours}
     return space, rank, columns
 
 

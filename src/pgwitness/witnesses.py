@@ -202,16 +202,23 @@ def enumerate_statespace(
     anything, when the statespace has more than ``cap`` states, and
     ValueError when ``cap`` is negative.
     """
+    capped_statespace_size(bounds, variant, cap)
+    return list(_statespace(bounds, variant))
+
+
+def capped_statespace_size(bounds: Bounds, variant: StatespaceVariant, cap: int | None) -> int:
+    """``statespace_size``, after the cap checks of ``enumerate_statespace``
+    (which raises what this raises): nothing is enumerated."""
+    size = statespace_size(bounds, variant)
     if cap is not None:
         if cap < 0:
             raise ValueError(f"cap {cap} is below 0")
-        size = statespace_size(bounds, variant)
         if size > cap:
             raise ResourceCapError(
                 f"statespace for {bounds} ({variant.value}) has {size} states, "
                 f"above the cap of {cap}"
             )
-    return list(_statespace(bounds, variant))
+    return size
 
 
 class Statespace(tuple):

@@ -1,6 +1,7 @@
 """Named mutants of the package, each with the tests that must kill it.
 
-Run ``python tests/mutants.py`` from anywhere in a checkout.  For each
+Run ``python tests/mutants.py`` from anywhere in a checkout, or
+``python tests/mutants.py NAME ...`` for the named mutants only.  For each
 mutant it copies the checkout's ``src``, ``tests`` and
 ``pyproject.toml`` into a temporary directory, replaces the mutant's old
 text in its file by the new text, and runs only the mutant's tests there.
@@ -103,6 +104,42 @@ MUTANTS = (
         "c = h + 1 + (least[h] >> 1)",
         "c = h + (least[h] >> 1)",
         (RULE_COUNTS,),
+    ),
+    # Outcomes read from the block tree (see _antagonistic_table).
+    Mutant(
+        "sibling-taken-as-the-parent",
+        UPDATES,
+        "sibling = ranks[c]",
+        "sibling = out",
+        (ORACLE,),
+    ),
+    Mutant(
+        "sibling-replaced-by-the-parent-outcome",
+        UPDATES,
+        "given = out if least[h] < d else None",
+        "given = out",
+        (ORACLE,),
+    ),
+    Mutant(
+        "leaf-run-takes-the-head-outcome-when-the-slot-comes-first",
+        UPDATES,
+        "if t >= 0 and w[t] < d:",
+        "if least[h] < d:",
+        (ORACLE,),
+    ),
+    Mutant(
+        "leaf-overflow-at-an-odd-last-entry-taken-as-won",
+        UPDATES,
+        "elif w[j] or end < ends[h]:",
+        "elif end < ends[h]:",
+        (ORACLE,),
+    ),
+    Mutant(
+        "inherited-head-does-not-take-the-floor",
+        UPDATES,
+        "given = out if least[h] < d else None",
+        "given = right if least[h] < d else None",
+        (ORACLE,),
     ),
     # Earlier rules of the column fill.
     Mutant(
@@ -284,17 +321,23 @@ def killed(mutant: Mutant) -> bool | None:
     return {0: False, 1: True}.get(code)
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    """Run the named mutants, or every mutant when none is named."""
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
     start = time.perf_counter()
     survivors = 0
-    for m in MUTANTS:
+    for m in chosen:
         result = killed(m)
         survivors += result is not True
         verdict = {True: "killed", False: "SURVIVED", None: "ERROR (tests did not run)"}[result]
         print(f"{verdict:9} {m.name}", flush=True)
-    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} killed in {time.perf_counter() - start:.0f} s")
+    print(f"{len(chosen) - survivors}/{len(chosen)} killed in {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pgwitness import automata
+from pgwitness import automata, witnesses
 from pgwitness.cli import main
 from pgwitness.games import generate_random, serialize_pgsolver
 
@@ -217,6 +217,42 @@ def test_enumerate_count_only(capsys):
     )
     assert code == 0
     assert out == "2\n"
+
+
+@pytest.mark.parametrize(
+    "variant, max_colour, e, min_colour",
+    [
+        ("concise", 6, 13, "1"),
+        ("classic-value-capped", 7, 20, "2"),
+        ("original-length", 5, 9, "1"),
+        ("concise", 1, 1, "1"),
+    ],
+)
+def test_enumerate_count_only_is_the_enumerated_count(capsys, variant, max_colour, e, min_colour):
+    args = ["enumerate", "--variant", variant, "--max-colour", str(max_colour), "--e", str(e)]
+    args += ["--min-colour", min_colour]
+    witnesses._statespace.cache_clear()
+    code, count, _ = run(capsys, *args, "--count-only")
+    # The count is the exact size: nothing is enumerated.
+    assert witnesses._statespace.cache_info().currsize == 0
+    assert code == 0
+    code, listed, _ = run(capsys, *args)
+    lines = listed.splitlines()
+    assert code == 0
+    assert lines[-1] == f"# {len(lines) - 1} states"
+    assert count == f"{len(lines) - 1}\n"
+
+
+@pytest.mark.parametrize(
+    "cap, code, message",
+    [("-1", 2, "cap -1 is below 0"), ("1", 3, "has 2 states, above the cap of 1")],
+)
+def test_enumerate_count_only_keeps_the_cap_checks(capsys, cap, code, message):
+    rc, out, err = run(
+        capsys, "enumerate", "--max-colour", "2", "--e", "1", "--cap", cap, "--count-only"
+    )
+    assert (rc, out) == (code, "")
+    assert message in err
 
 
 def test_enumerate_lists_states(capsys):

@@ -642,6 +642,86 @@ def test_heads_with_no_entry_below_the_colour_follow_the_lemma_on_the_kernels(va
     assert min(heads.values()) > 0, heads
 
 
+@pytest.mark.parametrize("variant", [CLASSIC, CONCISE], ids=lambda v: v.value)
+def test_evaluated_outcomes_follow_the_block_tree_on_the_kernels(variant):
+    """The three cases the classic and concise columns read from the block
+    tree instead of a kernel (see ``_antagonistic_table``), checked on the
+    capped kernels themselves.  A head ``h = P + (Blank,)`` whose ``P``
+    has an entry below ``d`` has the parent ``p = P[:i] + Blanks``, where
+    ``i`` is the index of ``P``'s last non-Blank entry.  When no entry of
+    ``p`` is below ``d``, ``h`` goes to its sibling ``P[:i] + (d,) +
+    Blanks``, a state of the space, or to ``p`` when the concise rules
+    blank a repeated ``d``.  The fill never meets that repeat: ``p``'s
+    own sibling with entry 2, later than ``p``'s block, goes to ``p``
+    too, so ``p``'s block is squeezed.  Otherwise ``h`` has ``p``'s
+    outcome (the fill meets this on even colours only: on an odd one
+    ``p``'s block is filled whole).  On an even colour, ``h``'s leaves
+    take ``h``'s outcome when ``h`` writes before ``P``'s overflow slot
+    ``j`` (its rightmost index holding Blank or an odd colour), else
+    ``P[:j] + (d,) + Blanks``, or WON past the budget or with no
+    slot."""
+    cases = dict.fromkeys(
+        ("sibling", "repeat", "inherited", "leaf-head", "slot", "slot-won", "no-slot"), 0
+    )
+    for b in SWEEP + BENCHMARK_BOUNDS:
+        kernels = _kernels(b, variant)
+        space = update_space(b, variant)
+        members = set(space)
+        L = b.length
+
+        def out(w, d):
+            return updates._capped(kernels[d], w, b.e)
+
+        for h in space:
+            if h[-1] != B:
+                continue
+            P = h[:-1]
+            leaves = P + (2,) in members
+            for d in b.colours:
+                if d == 1 or d % 2 and d == b.max_colour:
+                    continue  # the unchanged and the resetting colour
+                writes = [k for k, x in enumerate(P) if x != B and x < d]
+                if writes:
+                    i = max(k for k, x in enumerate(P) if x != B)
+                    p = P[:i] + (B,) * (L - i)
+                    if all(x >= d for x in p if x != B):
+                        if variant is CONCISE and d % 2 and d in p:
+                            expected = p
+                            cases["repeat"] += 1
+                            j = p.index(d)
+                            later = p[:j] + (2,) + (B,) * (L - 1 - j)
+                            assert later in members and out(later, d) == p, (b, h, d)
+                        else:
+                            expected = P[:i] + (d,) + (B,) * (L - 1 - i)
+                            assert expected in members, (b, h, d)
+                            cases["sibling"] += 1
+                    else:
+                        expected = out(p, d)
+                        cases["inherited"] += 1
+                    assert out(h, d) == expected, (b, h, d)
+                if d % 2 or not leaves:
+                    continue
+                slots = [k for k, x in enumerate(P) if x == B or x % 2]
+                if not slots:
+                    expected = WON
+                    cases["no-slot"] += 1
+                elif writes and writes[0] < slots[-1]:
+                    expected = out(h, d)
+                    cases["leaf-head"] += 1
+                else:
+                    j = slots[-1]
+                    expected = P[:j] + (d,) + (B,) * (L - 1 - j)
+                    if witness_value(expected) <= b.e:
+                        cases["slot"] += 1
+                    else:
+                        expected = WON
+                        cases["slot-won"] += 1
+                assert out(P + (2,), d) == expected, (b, h, d)
+    if variant is CLASSIC:
+        assert cases.pop("repeat") == 0  # the classic rules blank nothing
+    assert min(cases.values()) > 0, cases
+
+
 @pytest.mark.parametrize(
     "bounds, variant, total, colour_2",
     [
@@ -672,18 +752,33 @@ def test_a_cold_table_build_evaluates_the_rules_this_often(
     _antagonistic_table.cache_clear()
     _column.cache_clear()
     _antagonistic_table(bounds, variant)
-    assert (sum(calls.values()), calls[2]) == (total, colour_2)
-    # At most one evaluation per leaf run on colour 2, so never more than
+    # The classic and concise columns read every outcome from the block
+    # tree: no kernel runs, and the outcomes read are those the kernels
+    # gave before, one per head or leaf run that no shortcut fills.
+    assert calls == {}
+    over = space_variant_for(variant)
+    reads = {d: _column(bounds, over, rule_set(variant, d), d)[1] for d in bounds.colours}
+    assert (sum(reads.values()), reads[2]) == (total, colour_2)
+    # At most one outcome per leaf run on colour 2, so never more than
     # the heads, the states that end in Blank.
-    assert calls[2] <= sum(1 for w in update_space(bounds, variant) if w[-1] == B)
+    assert reads[2] <= sum(1 for w in update_space(bounds, variant) if w[-1] == B)
 
 
 def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
-    ran: dict[UpdateVariant, set[int]] = {variant: set() for variant in UpdateVariant}
+    built: dict[UpdateVariant, set[int]] = {variant: set() for variant in UpdateVariant}
+    fetched: dict[UpdateVariant, set[int]] = {variant: set() for variant in UpdateVariant}
 
-    def counted(bounds, variant):
+    def column(bounds, over, rule, d):
+        # The columns themselves, recording each colour a rule builds.
+        misses = _column.cache_info().misses
+        col = _column(bounds, over, rule, d)
+        if _column.cache_info().misses > misses:
+            built[rule].add(d)
+        return col
+
+    def kernels(bounds, variant):
         # The kernels themselves, recording each colour a column fetches.
-        seen = ran[variant]
+        seen = fetched[variant]
 
         class Kernels(dict):
             def __getitem__(self, d):
@@ -692,7 +787,8 @@ def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
 
         return Kernels(_kernels(bounds, variant))
 
-    monkeypatch.setattr(updates, "_kernels", counted)
+    monkeypatch.setattr(updates, "_column", column)
+    monkeypatch.setattr(updates, "_kernels", kernels)
     g = generate_random(30, 9, (1, 3), 3)
     e = g.even_vertex_count + 5
     bounds = Bounds(9, e)
@@ -701,19 +797,22 @@ def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
     _column.cache_clear()
 
     def rules_run_by(variant):
-        """The colours whose columns each rule set's kernels built in a
-        lifting solve."""
-        for seen in ran.values():
-            seen.clear()
+        """The colours whose columns each rule built in a lifting solve."""
+        for record in (built, fetched):
+            for colours in record.values():
+                colours.clear()
         solve(g, "lifting", variant, UpdateKind.ANTAGONISTIC, e)
-        return {name: set(seen) for name, seen in ran.items()}
+        # Only the colour rules' own columns run kernels; the others read
+        # the block tree.
+        assert fetched == {CLASSIC: set(), CONCISE: set(), COLOUR: built[COLOUR]}
+        return {rule: set(colours) for rule, colours in built.items()}
 
     odd = {d for d in bounds.colours if d % 2 and d > 1}
     low = {1, 2}  # the classic rules, for every rule set
     even = set(bounds.colours) - odd - low
-    # The concise table runs the classic rules on 1 and the even colours.
-    # A colour lifting solve after a concise one runs only the colour
-    # rules, and only for the even colours from 4 up.
+    # The concise table builds the classic rules' columns of 1 and the
+    # even colours.  A colour lifting solve after a concise one builds
+    # only the colour rules' columns, of the even colours from 4 up.
     assert rules_run_by(CONCISE) == {CLASSIC: low | even, CONCISE: odd, COLOUR: set()}
     assert rules_run_by(COLOUR) == {CLASSIC: set(), CONCISE: set(), COLOUR: even}
     # Cold, a colour solve builds the shared columns with the classic and
