@@ -156,9 +156,11 @@ def solve_product(
     if table is None:
         _, state_id, moves, take = step_memo(b, automaton.variant, automaton.kind)
         won, initial = state_id[WON], state_id[automaton.initial]
-    else:  # the columns are full, so nothing is ever taken
-        space, rank, moves = table
-        won, initial, take = len(space), rank[automaton.initial], None
+    else:
+        # The columns are full, so nothing is ever taken.  The all-Blank
+        # initial state is the least, of rank 0.
+        won, moves = table
+        initial, take = 0, None
 
     # The lists of later predecessors are tracked containers, so the
     # cyclic collector would still run during the solve, and each full
@@ -304,13 +306,12 @@ def solve_lifting(
             f"{space_size(bounds, variant)} states, above the antagonistic "
             f"table cap of {ANTAGONISTIC_TABLE_CAP}"
         )
-    space, rank, columns = table
-    won = len(space)
+    won, columns = table
     column = [columns[c] for c in game.colours]
     succ = game.succ
     preds = game.predecessors
     even_owned = [o == EVEN for o in game.owners]
-    mu = [rank[bounds.blank_witness()]] * game.n
+    mu = [0] * game.n  # every vertex starts at the all-Blank state, the least
     in_queue = [True] * game.n
     queue: deque[int] = deque(game.vertices())
     lifts = 0

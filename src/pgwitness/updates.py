@@ -27,7 +27,7 @@ from .witnesses import (
     State,
     StatespaceVariant,
     Witness,
-    _statespace,
+    _block_tree,
     entry_key,
     last_bounds_cache,
     state_key,
@@ -224,10 +224,12 @@ def _unchanged(w: Witness) -> State:
 def _kernels(bounds: Bounds, variant: UpdateVariant) -> dict[int, Kernel]:
     """``variant``'s raw rules for ``bounds``, one kernel per colour:
     ``kernels[d](w)`` is the state after reading ``d`` in ``w``.  Kept,
-    like every per-Bounds cache, for the last Bounds used; callers fetch
-    them once per column, memo or constructive call.  ``kernels[d]`` is
-    the one kernel of the rule ``rule_set(variant, d)``, built on first
-    use and handed to every rule set that applies it."""
+    like every per-Bounds cache, for the last Bounds used; the basic
+    step memo fetches them once per solve, ``capped_update`` and the
+    constructive routine once per call (no table fill runs a kernel).
+    ``kernels[d]`` is the one kernel of the rule ``rule_set(variant,
+    d)``, built on first use and handed to every rule set that applies
+    it."""
     return {d: _kernel(bounds, rule_set(variant, d), d) for d in bounds.colours}
 
 
@@ -270,32 +272,7 @@ def capped_update(s: State, d: int, bounds: Bounds, variant: UpdateVariant) -> S
 # ---------------------------------------------------------------------------
 
 
-RankTable = tuple[tuple[Witness, ...], dict[Witness, int], dict[int, list[int]]]
-
-
-@last_bounds_cache
-def _ranked_space(
-    bounds: Bounds, variant: StatespaceVariant
-) -> tuple[tuple[Witness, ...], dict[Witness, int], list[int], list[int], list[int]]:
-    """The sorted statespace, its inverse ``rank[space[r]] == r``, the
-    block ends the enumeration recorded (see ``Statespace``), ``ranks``:
-    the rank dict's own int objects in rank order, then ``len(space)``
-    for WON, and ``least``: for each head ``P + (Blank,)`` (see
-    ``_antagonistic_table``) the least entry of ``P``, or ``max_colour |
-    1`` when ``P`` is all Blank, and 0 for the other states.  Columns
-    store ranks taken from ``ranks`` or the rank dict, so they hold no int
-    objects of their own.  One entry per statespace of the last Bounds:
-    concise and colour share theirs."""
-    space = _statespace(bounds, variant)
-    rank = {c: i for i, c in enumerate(space)}
-    top = bounds.max_colour | 1
-    if bounds.length == 1:
-        least = [top] + [0] * (len(space) - 1)
-    else:
-        # Non-Blank entries do not increase, so P's least entry is its
-        # last non-Blank one, most often the entry just before the Blank.
-        least = [(w[-2] or min(filter(None, w), default=top)) if not w[-1] else 0 for w in space]
-    return space, rank, space.ends.tolist(), [*rank.values(), len(space)], least
+RankTable = tuple[int, dict[int, list[int]]]
 
 
 @last_bounds_cache
@@ -303,13 +280,10 @@ def _column(
     bounds: Bounds, over: StatespaceVariant, rule: UpdateVariant, d: int
 ) -> tuple[list[int], int]:
     """The antagonistic column of colour ``d`` under ``rule``'s rules on
-    the statespace ``over``, built on first use (see
+    the statespace ``over``, built on first use from its block tree (see
     ``_antagonistic_table``), and how many outcomes the fill read: heads
-    and leaf runs it could not fill from the ranks or squeeze.  The
-    colour rules' own columns read them from their kernel; every other
-    column reads them from the block tree."""
-    space, rank, ends, ranks, least = _ranked_space(bounds, over)
-    won = len(space)
+    and leaf runs it could not fill from the ranks or squeeze."""
+    won, ends, least, slot, groups, above, ranks = _block_tree(bounds, over)
     if d == 1:
         # No state changes, so the suffix minima are the ranks.
         return ranks, 0
@@ -317,9 +291,7 @@ def _column(
     if odd and d == bounds.max_colour:
         # Every state resets to the all-Blank one, of rank 0.
         return [0] * won + [won], 0
-    kernel = _kernels(bounds, rule)[d] if rule is UpdateVariant.COLOUR else None
-    L = bounds.length
-    tails = _tails(d, L)
+    colour = rule is UpdateVariant.COLOUR
     below = (d - 1) // 2  # how many of the leaf entries 2, 4, ... are below d
     col = [won] * (won + 1)
     reads = 0
@@ -351,14 +323,13 @@ def _column(
                     out = ranks[h]
                 else:
                     out = ranks[h + (d >> 1)] if end > h + 1 else won
+            elif colour:
+                # The sibling with d in place of P's least entry, later
+                # than h's block, has h's outcome.
+                out = right
             else:
                 reads += 1
-                if kernel:
-                    # A stale rule returns its input itself, of rank h.
-                    w = space[h]
-                    s = kernel(w)
-                    out = ranks[h] if s is w else rank.get(s, won)
-                elif given is not None:
+                if given is not None:
                     out = given
                 else:
                     # The sibling with d in place of P's least entry, later
@@ -413,39 +384,20 @@ def _column(
             v = out
         else:
             reads += 1
-            if kernel:
-                v = rank.get(kernel(space[h + 1]), won)
+            # Every leaf overflows at P's slot j unless h writes locally
+            # before it: then every leaf writes there too.  The overflow
+            # is P[:j] + (d,) + Blanks, in the group of P's slot cell.
+            k = slot[h]
+            if above[k] < d:
+                v = out
             else:
-                # Every leaf overflows at P's slot j, the rightmost index
-                # holding Blank or an odd colour, unless h writes locally
-                # before it: then every leaf writes there too.
-                w = space[h]
-                j = L - 2
-                if j < 0:
-                    v = won  # P is empty: no slot, and the leaves carry out
-                elif not w[j] or w[j] & 1:
-                    if least[h] < d:
-                        v = out
-                    elif w[j] or end < ends[h]:
-                        # P[:j] + (d, Blank): after the run, the next
-                        # sub-block with least entry d, of h's first group
-                        # when w[j] is Blank, of h's own group when odd.
-                        s = end
-                        while least[s] != d:
-                            s = ends[s]
-                        v = ranks[s]
-                    else:
-                        v = won  # no entry fits at j: past the budget
+                s = groups[k]
+                if s < won:
+                    while least[s] != d:
+                        s = ends[s]
+                    v = ranks[s]
                 else:
-                    while j >= 0 and w[j] and not w[j] & 1:
-                        j -= 1
-                    t = j - 1
-                    while t >= 0 and not w[t]:
-                        t -= 1
-                    if t >= 0 and w[t] < d:
-                        v = out
-                    else:
-                        v = rank.get(w[:j] + tails[j], won) if j >= 0 else won
+                    v = won  # no slot, or no entry fits at j: past the budget
             if v > right:
                 v = right
         col[h + 1 : end] = [v] * (end - h - 1)
@@ -454,17 +406,19 @@ def _column(
 
 @last_bounds_cache
 def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
-    """The antagonistic update over statespace ranks, as ``(space, rank,
-    columns)``.
+    """The antagonistic update over statespace ranks, as ``(size,
+    columns)``, built from the statespace's block tree alone: no state
+    tuple, no rank dict and no rule kernel.
 
-    ``space`` is the sorted statespace and ``rank`` its inverse; rank
-    ``len(space)`` stands for WON, so the witness order is integer order.
+    Ranks are positions in the sorted statespace (``_statespace``): the
+    all-Blank state, the least, has rank 0, and rank ``size`` stands for
+    WON, so the witness order is integer order.
     ``columns[d][r]`` is the least capped-update outcome, as a rank, over
     every state of rank at least ``r``.  That is the antagonistic update
     of the state of rank ``r`` by colour ``d`` (the order is total, so an
     up-set is a rank suffix).  Every column ends with WON's own entry.
 
-    Columns are filled a block at a time (see ``witnesses.Statespace``).  The
+    Columns are filled a block at a time (see ``witnesses._block_tree``).  The
     least outcome over a block is the outcome of its first state, as
     ``antagonistic_update`` shows, so ``col[r] = min(out(r),
     col[end])`` for the block ``r..end-1``; when ``out(r)`` is not below
@@ -484,7 +438,7 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     either none or every even entry up to ``P``'s last non-Blank one (up
     to the greatest, when ``P`` is all Blank).  Non-Blank entries do not
     increase, so ``P``'s last non-Blank entry is its least, which
-    ``_ranked_space`` records for each head (``max_colour | 1`` for an
+    the block tree records for each head (``max_colour | 1`` for an
     all-Blank ``P``), and ``h`` has half that many leaves, rounded down,
     or none.  It has none exactly when its block is ``h`` alone: a
     non-Blank entry at any position below ``P`` needs an odd entry in
@@ -544,17 +498,19 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
       ``h`` are all there or none is).  No entry is below 2, so colour 2
       reads no head's outcome, and one leaf per run.
 
-    The classic and concise columns read every other outcome from the
-    block tree, with no rule evaluated; only the colour rules' own
-    columns, of the even colours from 4 up, run their kernel.  The
-    sub-blocks of a head ``q`` whose entry lies at the same index ``i``
-    form a *group*, ``q[:i] + (y,) + Blanks`` for every ``y`` allowed
-    there, in the entry order; the least entry of such a sub-block is
-    ``y``, and every group of ``q`` holds the same entries.  Take a
-    head ``h = P + (Blank,)`` whose ``P`` has an entry below ``d``, its
-    least, ``y = P[i]`` at the index ``i`` of ``P``'s last non-Blank
-    entry, and ``p = P[:i] + Blanks``, the head in whose group at ``i``
-    ``h`` lies:
+    Every other outcome is read from the block tree too, with no rule
+    evaluated.  The sub-blocks of a head ``q`` whose entry lies at the
+    same index ``i`` form a *group*, ``q[:i] + (y,) + Blanks`` for every
+    ``y`` allowed there, in the entry order; the least entry of such a
+    sub-block is ``y``, and every group of ``q`` holds the same entries.
+    The members of a group have one value: they differ at ``i`` alone
+    and are Blank after it, where the count of a value ends either way.
+    So they are all in the space or none is, and an even entry is
+    allowed in a group exactly when it is at most ``q``'s least entry.
+    Take a head ``h = P + (Blank,)`` whose ``P`` has an entry below
+    ``d``, its least, ``y = P[i]`` at the index ``i`` of ``P``'s last
+    non-Blank entry, and ``p = P[:i] + Blanks``, the head in whose group
+    at ``i`` ``h`` lies.  For the classic and concise rules:
 
     * *sibling*: no entry of ``p`` is below ``d``.  Both rule sets write
       at the first index whose entry is below ``d``, which is ``i``; the
@@ -570,13 +526,11 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
       and ``d`` is allowed in ``h``'s group.  The sibling is in the
       space: its entries do not increase (those of ``p`` are at least
       ``d``), it holds no odd entry at position 0 (``i`` is not the last
-      index), and its value is ``h``'s, since the two differ at ``i``
-      alone and are Blank after it, where the count of a value ends
-      either way.  Odd entries precede even ones, and odd ones go
-      down, so on an odd ``d`` the sibling comes before ``h`` in the
-      group and the fill remembers the last member with least entry
-      ``d`` as it pushes the group; on an even ``d`` it comes after ``h``
-      and the fill walks the group's block ends to it;
+      index), and it is in ``h``'s group.  Odd entries precede even
+      ones, and odd ones go down, so on an odd ``d`` the sibling comes
+      before ``h`` in the group and the fill remembers the last member
+      with least entry ``d`` as it pushes the group; on an even ``d`` it
+      comes after ``h`` and the fill walks the group's block ends to it;
     * *inherited*: an entry of ``p`` is below ``d``.  The rules write at
       the first such index, in the entries ``h`` and ``p`` share, so
       ``h`` has ``p``'s outcome.  The fill meets this on even colours
@@ -589,18 +543,41 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
       below ``d``.  Such an index is ``h``'s own write index (``h``'s
       slot is its last index), and then the leaf has ``h``'s outcome.
       Otherwise the leaf gives ``P[:j] + (d,) + Blanks``, WON when that
-      is past the budget, and WON when ``P`` has no slot.  When ``P``
-      ends in Blank or an odd entry, ``j`` is ``P``'s last index: with
-      an entry of ``P`` below ``d`` the leaf has ``h``'s outcome (``h``
-      writes before ``j``, or at ``j`` itself when only ``y`` is below
-      ``d``, which is the overflow), and otherwise ``P[:j] + (d, Blank)``
-      is the next sub-block with least entry ``d`` after the run: in
-      ``h``'s first group when ``P`` ends in Blank (past the budget when
-      ``h`` has no sub-blocks, as ``d`` is allowed there), in ``h``'s own
-      group when ``P`` ends in an odd entry, which is then above ``d``.
-      When ``P`` ends in an even entry the fill finds ``j`` and the local
-      write from ``h``'s entries and ranks the overflow through the rank
-      dict.
+      is past the budget, and WON when ``P`` has no slot.  That state is
+      the member with entry ``d`` of the group at ``j`` of ``P[:j] +
+      Blanks``, whose least entry, that of ``P[:j]``, is then at least
+      ``d``.  The block tree records for each head the cell of its slot:
+      the least entry of ``P[:j]``, and the rank of the group's member
+      with entry 2, the first even one, or WON when the group is empty,
+      past the budget (``witnesses._block_tree``).  When that least entry is below
+      ``d`` the run takes ``h``'s outcome; otherwise the fill walks the
+      block ends from the member with entry 2 to the one with ``d``.  A
+      slot holding an odd entry ``o`` below ``d`` gives the same state
+      either way: ``h`` then writes ``d`` at ``j`` itself.
+
+    The colour rules' own columns, of the even colours ``d`` from 4 up,
+    read no head's outcome that the head rule does not give.  The fill
+    meets a head ``h`` whose ``P`` has an entry below ``d`` only when no
+    entry of its parent ``p`` is, down from the all-Blank head, which
+    has no entry: every such head is squeezed, as shown next, and pushes
+    no sub-blocks.  So ``y`` is ``P``'s one entry below ``d``.  The sibling ``S = P[:i]
+    + (d,) + Blanks`` is in the space, as in the sibling case (``d`` is
+    even), and lies after ``h``'s block: even entries follow odd ones in
+    a group, and go up.  ``S`` holds no odd colour below ``d``, so the
+    colour rules absorb at its last index, change no entry before it
+    (each is at least ``d``) and give ``S[:-1] + (d,)``.  ``h`` gives
+    the same state.  For an even ``y`` it has no odd colour below ``d``
+    either, and absorbs at its last index, raising ``y`` to ``d``.  For
+    an odd ``y`` it releases at ``i``, raises ``y`` to ``d``, and blanks
+    the rest up to position 0, where it writes ``d``.  So ``col[m] <=
+    col[S] <= out(S) = out(h)`` for the end ``m`` of ``h``'s block, and
+    the block holds ``col[m]`` throughout, with no outcome read.  The
+    fill thus reaches only the leaf runs of heads whose ``P`` has no
+    entry below ``d``.  There the colour rules find no odd colour below
+    ``d`` and absorb at ``P``'s slot ``j``, changing no entry: that is
+    the classic overflow ``P[:j] + (d,) + Blanks``, or WON with no slot,
+    and the least entry of ``P[:j]`` is at least ``d``.  So the colour
+    rules' leaf runs take the classic rules' leaf-run state.
 
     ``_column`` keeps the last Bounds' columns by statespace and rule
     (``rule_set``), so the COLOUR table reads the CONCISE column, the
@@ -630,9 +607,8 @@ def _antagonistic_table(bounds: Bounds, variant: UpdateVariant) -> RankTable:
     carry out to WON.
     """
     over = space_variant_for(variant)
-    space, rank = _ranked_space(bounds, over)[:2]
     columns = {d: _column(bounds, over, rule_set(variant, d), d)[0] for d in bounds.colours}
-    return space, rank, columns
+    return statespace_size(bounds, over), columns
 
 
 ANTAGONISTIC_TABLE_CAP = 200_000
@@ -645,14 +621,16 @@ def space_size(bounds: Bounds, variant: UpdateVariant) -> int:
 
 
 def rank_table(bounds: Bounds, variant: UpdateVariant) -> RankTable | None:
-    """The antagonistic table, or None when antagonistic steps must take
+    """The antagonistic table, ``(size, columns)`` (see
+    ``_antagonistic_table``), or None when antagonistic steps must take
     the constructive routine.
 
     This is the only place the table-or-constructive choice is made, and
     the solvers ask once per solve; a single step (``antagonistic_update``)
     is always constructive.  The choice is made from the exact statespace
-    size: nothing is enumerated or built when the statespace has more
-    than ``ANTAGONISTIC_TABLE_CAP`` states.
+    size: nothing is built when the statespace has more than
+    ``ANTAGONISTIC_TABLE_CAP`` states, and no state is enumerated within
+    it.
     """
     if space_size(bounds, variant) > ANTAGONISTIC_TABLE_CAP:
         return None

@@ -195,15 +195,17 @@ def enumerate_statespace(
     bounds: Bounds,
     variant: StatespaceVariant,
     cap: int | None = DEFAULT_SPACE_CAP,
-) -> list[Witness]:
+) -> tuple[Witness, ...]:
     """All structurally valid witnesses, sorted ascending in witness order.
 
-    WON is not included.  Raises ResourceCapError, before enumerating
-    anything, when the statespace has more than ``cap`` states, and
-    ValueError when ``cap`` is negative.
+    WON is not included.  The tuple is the cached one (see
+    ``last_bounds_cache``), so calls with the same Bounds return the same
+    object.  Raises ResourceCapError, before enumerating anything, when
+    the statespace has more than ``cap`` states, and ValueError when
+    ``cap`` is negative.
     """
     capped_statespace_size(bounds, variant, cap)
-    return list(_statespace(bounds, variant))
+    return _statespace(bounds, variant)
 
 
 def capped_statespace_size(bounds: Bounds, variant: StatespaceVariant, cap: int | None) -> int:
@@ -219,21 +221,6 @@ def capped_statespace_size(bounds: Bounds, variant: StatespaceVariant, cap: int 
                 f"above the cap of {cap}"
             )
     return size
-
-
-class Statespace(tuple):
-    """A sorted statespace, with the block end of every state.
-
-    ``ends[r]`` is the rank just past the block of the state of rank
-    ``r``.  The block of a state is every state that shares its entries
-    above its trailing Blanks.  Blank is the least entry, so a state is
-    the first of its block, and a block is a rank interval.  Blocks nest:
-    the states strictly inside a block split into the blocks of ``r + 1``,
-    ``ends[r + 1]``, and so on.  ``ends`` is an array of C ints, four
-    bytes a state.
-    """
-
-    ends: array
 
 
 CacheInfo = namedtuple("CacheInfo", "misses currsize")
@@ -269,62 +256,79 @@ def last_bounds_cache(fn: Callable) -> Callable:
     return cached
 
 
-@last_bounds_cache
-def _statespace(bounds: Bounds, variant: StatespaceVariant) -> Statespace:
-    # Entries are tried in the entry order, most significant position
-    # first, so states come out already sorted.  Choosing a non-Blank
-    # entry opens a block, whose first state is that choice followed by
-    # Blanks, and the block closes when the choice's branch returns.  A
-    # state at which no block opens is its own block, and the all-Blank
-    # first state's block is the whole space.
+# The rules a statespace is built by, written once for both walks over
+# it (``_statespace``, ``_block_tree``): ``(top, odds, evens, finals,
+# weights, e, concise)``.  Entries are chosen most significant position
+# first, each at most the last non-Blank entry chosen (``last``, ``top``
+# before any, the greatest colour made odd, so that every entry fits).
+# Blank fits anywhere.  ``odds[last]`` and ``evens[last]`` are the
+# non-Blank entries allowed after ``last``, in the entry order; odds come
+# first.  The budget: before any odd entry, a non-Blank entry at position
+# ``pos`` >= 1 adds ``weights[pos]`` to the value, and none fits there
+# when that takes the value past ``e``; position 0 holds one of
+# ``finals[last]`` only after an odd entry or while the value is below
+# ``e``.  With ``concise``, no odd entry repeats.  Value-capped spaces
+# weigh ``2^pos`` and hold no odd entry at position 0; the original one
+# weighs nothing.
+Rules = tuple[int, dict, dict, dict, tuple[int, ...], int, bool]
+
+
+def _rules(bounds: Bounds, variant: StatespaceVariant) -> Rules:
     entries = sorted(bounds.statespace_entries(variant), key=entry_key)
     capped = variant is not StatespaceVariant.ORIGINAL_LENGTH
-    concise = variant is StatespaceVariant.CONCISE
-    e = bounds.e
-    top = bounds.max_colour + 1
-    # The non-Blank entries allowed after the entry ``last``, and the
-    # last position's choices, as 1-tuples.
-    choices = {last: [x for x in entries if x <= last] for last in (top, *entries)}
-    leaves = {
-        last: [(BLANK,)] + [(x,) for x in xs if not (capped and x & 1)]
-        for last, xs in choices.items()
-    }
+    top = bounds.max_colour | 1
+    lasts = (top, *entries)
+    odds = {last: [x for x in entries if x & 1 and x <= last] for last in lasts}
+    evens = {last: [x for x in entries if not x & 1 and x <= last] for last in lasts}
+    finals = {last: evens[last] if capped else odds[last] + evens[last] for last in lasts}
+    weights = tuple((1 << pos) * capped for pos in range(bounds.length))
+    return top, odds, evens, finals, weights, bounds.e, variant is StatespaceVariant.CONCISE
+
+
+@last_bounds_cache
+def _statespace(bounds: Bounds, variant: StatespaceVariant) -> tuple[Witness, ...]:
+    # Entries are tried in the entry order, most significant position
+    # first (see ``_rules``), so states come out already sorted.
+    top, odds, evens, finals, weights, e, concise = _rules(bounds, variant)
+    # The last position's choices, as 1-tuples.
     blank = (BLANK,)
+    leaves = {last: [blank] + [(x,) for x in xs] for last, xs in finals.items()}
     blank_leaf = [blank]
     out: list[Witness] = []
-    ends = array("i", range(1, statespace_size(bounds, variant) + 1))
 
     def rec(
         pos: int, head: Witness, last: int, value: int, seen_odd: bool, used_odds: frozenset[int]
     ) -> None:
         # The entry at ``pos`` >= 1: Blank, then each entry up to ``last``.
         # At position 1 a choice's branch is the states of position 0,
-        # emitted here with no call.  Below the budget (value < e, or an
-        # odd entry above) position 0 may hold a non-Blank entry.
+        # emitted here with no call.
         h = head + blank
         if pos > 1:
             rec(pos - 1, h, last, value, seen_odd, used_odds)
         else:
             out.extend([h + t for t in (leaves[last] if seen_odd or value < e else blank_leaf)])
-        if capped and not seen_odd:
-            value += 1 << pos
+        if not seen_odd:
+            value += weights[pos]
             if value > e:
                 return  # no non-Blank entry fits at pos
-        for x in choices[last]:
-            seen, used = seen_odd, used_odds
-            if x & 1:
-                if concise:
-                    if x in used_odds:
-                        continue
-                    used = used_odds | {x}
-                seen = True
-            start = len(out)
+        for x in odds[last]:
+            if concise:
+                if x in used_odds:
+                    continue
+                used = used_odds | {x}
+            else:
+                used = used_odds
             h = head + (x,)
             if pos > 1:
-                rec(pos - 1, h, x, value, seen, used)
+                rec(pos - 1, h, x, value, True, used)
             else:
-                out.extend([h + t for t in (leaves[x] if seen or value < e else blank_leaf)])
-            ends[start] = len(out)
+                out.extend([h + t for t in leaves[x]])
+        for x in evens[last]:
+            h = head + (x,)
+            if pos > 1:
+                rec(pos - 1, h, x, value, seen_odd, used_odds)
+            else:
+                out.extend([h + t for t in (leaves[x] if seen_odd or value < e else blank_leaf)])
 
     if bounds.k:
         rec(bounds.k, (), top, 0, False, frozenset())
@@ -333,12 +337,117 @@ def _statespace(bounds: Bounds, variant: StatespaceVariant) -> Statespace:
     # ``rec`` refers to itself through its closure; unbound, it frees
     # ``out`` now instead of at the next full collection.
     del rec
-    ends[0] = len(out)
-    # ``Statespace(x)`` makes a plain tuple of ``x`` (``x`` itself when it
-    # is one) and copies that: with the list freed first, at most two
-    # copies of the state pointers are alive at once.
+    # With the list freed first, at most two copies of the state pointers
+    # are alive at once.
     states = tuple(out)
     del out
-    space = Statespace(states)
-    space.ends = ends
-    return space
+    return states
+
+
+BlockTree = tuple[int, array, array, array, array, array, list[int]]
+
+
+@last_bounds_cache
+def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
+    """A sorted statespace as int arrays, with no state built, as ``(size,
+    ends, least, slot, groups, above, ranks)``: what the antagonistic
+    table fill (``updates._antagonistic_table``) reads.
+
+    The *block* of the state of rank ``r`` is every state that shares
+    its entries above its trailing Blanks.  Blank is the least entry, so
+    a state is the first of its block, and a block is a rank interval,
+    ``r .. ends[r] - 1``.  Blocks nest: the states strictly inside a
+    block split into the blocks of ``r + 1``, ``ends[r + 1]``, and so on.
+    A *head* is a state ``P + (Blank,)``; every other state ends in a
+    non-Blank entry and is a block of its own, a *leaf*.
+
+    * ``size``: the number of states, and the rank that stands for WON;
+    * ``ends``: the block end of every rank;
+    * ``least``: for each head, the least entry of ``P`` (its last
+      non-Blank one), or ``max_colour | 1`` when ``P`` is all Blank; 0
+      for a leaf;
+    * ``slot``: for each head, the *group cell* of ``P``'s overflow slot
+      ``j``, the rightmost index of ``P`` holding Blank or an odd entry;
+      cell 0 when ``P`` has no slot (0 for a leaf too);
+    * ``groups``, ``above``: by cell, one per prefix ``P[:j]`` (the heads
+      whose slot follows the same prefix share it), the rank of
+      ``P[:j] + (2,) + Blanks``, or ``size`` when that state is not in
+      the space; and the least entry of ``P[:j]`` (``max_colour | 1``
+      when it is all Blank).  Cell 0 has ``size`` and ``max_colour | 1``;
+    * ``ranks``: ``list(range(size + 1))``, whose int objects every
+      column stores, so that columns hold none of their own.
+
+    ``ends`` to ``above`` are arrays of C ints, four bytes an entry.
+    """
+    # The walk of ``_statespace`` (see ``_rules``), counting states
+    # instead of building them: ``n`` is the rank of the next state.
+    # Choosing a non-Blank entry opens a block, whose first state is that
+    # choice followed by Blanks, and the block closes when the choice's
+    # branch returns; the all-Blank first state's block is the whole
+    # space.  A head's leaves follow it, and at position 1 each choice
+    # is one head with its leaves: a record and a count, with no call.
+    # The call that chooses the entry at index ``t`` makes the cell of
+    # the slots at ``t`` (its Blank and odd choices) and hands it down
+    # those branches; even choices hand down the cell they were given.
+    top, odds, evens, finals, weights, e, concise = _rules(bounds, variant)
+    size = statespace_size(bounds, variant)
+    zeros = bytes(4 * size)
+    ends = array("i", range(1, size + 1))
+    least = array("i", zeros)
+    slot = array("i", zeros)
+    groups = array("i", [size])
+    above = array("i", [top])
+    count = {last: len(xs) for last, xs in finals.items()}
+    n = 0
+
+    def rec(
+        pos: int, last: int, value: int, seen_odd: bool, used_odds: frozenset[int], cell: int
+    ) -> None:
+        nonlocal n
+        own = len(groups)
+        groups.append(size)
+        above.append(last)
+        if pos > 1:
+            rec(pos - 1, last, value, seen_odd, used_odds, own)
+        else:
+            least[n] = last
+            slot[n] = own
+            n += 1 + (count[last] if seen_odd or value < e else 0)
+        if not seen_odd:
+            value += weights[pos]
+            if value > e:
+                return  # no non-Blank entry fits at pos
+        for x in odds[last]:
+            if concise:
+                if x in used_odds:
+                    continue
+                used = used_odds | {x}
+            else:
+                used = used_odds
+            start = n
+            if pos > 1:
+                rec(pos - 1, x, value, True, used, own)
+            else:
+                least[n] = x
+                slot[n] = own
+                n += 1 + count[x]
+            ends[start] = n
+        if evens[last]:
+            groups[own] = n
+        for x in evens[last]:
+            start = n
+            if pos > 1:
+                rec(pos - 1, x, value, seen_odd, used_odds, cell)
+            else:
+                least[n] = x
+                slot[n] = cell
+                n += 1 + (count[x] if seen_odd or value < e else 0)
+            ends[start] = n
+
+    if bounds.k:
+        rec(bounds.k, top, 0, False, frozenset(), 0)
+    else:
+        least[0] = top
+    del rec  # no reference cycle, as in ``_statespace``
+    ends[0] = size
+    return size, ends, least, slot, groups, above, list(range(size + 1))

@@ -41,6 +41,7 @@ SHARED_BY_RULE = (
 ONE_MEMO = (
     "tests/test_updates.py::test_basic_products_on_one_memo_share_exactly_the_steps_of_one_rule"
 )
+WALK_ENDS = "tests/test_updates.py::test_the_walk_records_the_block_ends_of_the_neighbour_comparison"
 DUPLICATED_SUCCESSOR = (
     "tests/test_metamorphic.py::test_a_duplicated_successor_changes_no_answer_and_no_count"
 )
@@ -86,16 +87,16 @@ MUTANTS = (
     ),
     Mutant(
         "all-blank-head-one-leaf-too-many",
-        UPDATES,
+        WITNESSES,
         "top = bounds.max_colour | 1",
         "top = bounds.max_colour + 2",
         (ORACLE,),
     ),
     Mutant(
         "least-entry-missed-behind-a-blank",
-        UPDATES,
-        "(w[-2] or min(filter(None, w), default=top))",
-        "(w[-2] or top)",
+        WITNESSES,
+        "least[n] = last\n            slot[n] = own",
+        "least[n] = top\n            slot[n] = own",
         (ORACLE,),
     ),
     Mutant(
@@ -123,15 +124,25 @@ MUTANTS = (
     Mutant(
         "leaf-run-takes-the-head-outcome-when-the-slot-comes-first",
         UPDATES,
-        "if t >= 0 and w[t] < d:",
+        "if above[k] < d:",
         "if least[h] < d:",
         (ORACLE,),
     ),
+    # The colour rules' own columns (see _antagonistic_table): a head with
+    # an entry below the colour is squeezed, whether that entry is odd
+    # (released) or even (absorbed).
     Mutant(
-        "leaf-overflow-at-an-odd-last-entry-taken-as-won",
+        "colour-head-releasing-an-odd-entry-read-as-the-sibling",
         UPDATES,
-        "elif w[j] or end < ends[h]:",
-        "elif end < ends[h]:",
+        "elif colour:",
+        "elif colour and not least[h] & 1:",
+        (ORACLE,),
+    ),
+    Mutant(
+        "colour-head-absorbing-an-even-entry-read-as-the-sibling",
+        UPDATES,
+        "elif colour:",
+        "elif colour and least[h] & 1:",
         (ORACLE,),
     ),
     Mutant(
@@ -142,13 +153,6 @@ MUTANTS = (
         (ORACLE,),
     ),
     # Earlier rules of the column fill.
-    Mutant(
-        "even-leaf-run-takes-the-head-outcome",
-        UPDATES,
-        "v = rank.get(kernel(space[h + 1]), won)",
-        "v = rank.get(kernel(space[h]), won)",
-        (ORACLE,),
-    ),
     Mutant(
         "stale-leaves-above-d-sent-to-the-head",
         UPDATES,
@@ -216,21 +220,48 @@ MUTANTS = (
         "tails[i]",
         ("tests/test_updates.py::test_kernels_equal_the_plainly_written_reference",),
     ),
+    # The block tree walk (witnesses._block_tree).
     Mutant(
         "block-ends-cut-short",
         WITNESSES,
-        "ends[start] = len(out)",
-        "ends[start] = len(out) - 1",
-        (
-            "tests/test_updates.py::"
-            "test_enumeration_records_the_block_ends_of_the_neighbour_comparison",
-        ),
+        "ends[start] = n\n\n    if bounds.k:",
+        "ends[start] = n - 1\n\n    if bounds.k:",
+        (WALK_ENDS,),
     ),
+    Mutant(
+        "walk-ignores-the-budget-at-position-0",
+        WITNESSES,
+        "n += 1 + (count[last] if seen_odd or value < e else 0)",
+        "n += 1 + count[last]",
+        (WALK_ENDS,),
+    ),
+    Mutant(
+        "odd-slot-hands-down-the-callers-cell",
+        WITNESSES,
+        "least[n] = x\n                slot[n] = own",
+        "least[n] = x\n                slot[n] = cell",
+        (ORACLE,),
+    ),
+    Mutant(
+        "slot-group-one-past-its-first-even-member",
+        WITNESSES,
+        "groups[own] = n",
+        "groups[own] = n + 1",
+        (ORACLE,),
+    ),
+    # The per-Bounds cache rule (witnesses.last_bounds_cache).
     Mutant(
         "per-bounds-caches-kept-across-a-bounds-switch",
         WITNESSES,
         "c.clear()",
         "pass",
+        ("tests/test_updates.py::test_per_bounds_caches_keep_one_bounds_worth",),
+    ),
+    Mutant(
+        "bounds-switch-empties-only-the-cache-that-sees-it",
+        WITNESSES,
+        "for c in _caches:\n                c.clear()",
+        "cache.clear()",
         ("tests/test_updates.py::test_per_bounds_caches_keep_one_bounds_worth",),
     ),
     # Game files and the game graph (games).

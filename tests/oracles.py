@@ -356,10 +356,12 @@ def table_update(bounds: Bounds, variant: UpdateVariant) -> Callable[[State, int
     """The antagonistic update as the solvers read it from
     ``updates.rank_table``: ``table_update(bounds, variant)(s, d)`` takes
     ``s`` (WON included) to its rank, reads ``columns[d]`` there and
-    returns the state of that rank, or WON.  The statespace must be
-    within the table cap."""
-    space, rank, columns = rank_table(bounds, variant)
-    won = len(space)
+    returns the state of that rank, or WON.  Ranks are positions in the
+    enumerated statespace, which the table itself never builds.  The
+    statespace must be within the table cap."""
+    won, columns = rank_table(bounds, variant)
+    space = update_space(bounds, variant)
+    rank = {s: r for r, s in enumerate(space)}
 
     def update(s: State, d: int) -> State:
         r = columns[d][won if s is WON else rank[s]]

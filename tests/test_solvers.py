@@ -404,11 +404,12 @@ def test_product_cap_fails_before_exploring_the_product(monkeypatch):
     assert steps_taken() > 10 * (3 * (cap + 1) + norm.n)
 
 
-def test_product_within_the_table_cap_enumerates_only_for_the_rank_table(monkeypatch):
+def test_product_within_the_table_cap_walks_only_for_the_rank_table(monkeypatch):
     # Basic steps go through the step memo, which enumerates nothing;
-    # antagonistic steps read the rank table.  Neither goes through the
+    # antagonistic steps read the rank table, built from one block tree
+    # per statespace with no state enumerated.  Neither goes through the
     # tuple updates.  No other test solves with this budget, so its
-    # statespaces are enumerated here first.
+    # block trees are walked here first.
     g = generate_random(30, 6, (1, 3), 2)
     e = g.even_vertex_count + 7
     oracle = zielonka(g)
@@ -418,7 +419,7 @@ def test_product_within_the_table_cap_enumerates_only_for_the_rank_table(monkeyp
     monkeypatch.setattr(updates, "capped_update", stepped)
 
     def misses():
-        return witnesses._statespace.cache_info().misses, updates._ranked_space.cache_info().misses
+        return witnesses._statespace.cache_info().misses, witnesses._block_tree.cache_info().misses
 
     before = misses()
     for variant in UpdateVariant:
@@ -426,7 +427,33 @@ def test_product_within_the_table_cap_enumerates_only_for_the_rank_table(monkeyp
     assert misses() == before
     for variant in UpdateVariant:
         assert solve(g, "product", variant, UpdateKind.ANTAGONISTIC, e) == oracle, variant
-    assert misses() == (before[0] + 2, before[1] + 2)
+    assert misses() == (before[0], before[1] + 2)
+
+
+@pytest.mark.parametrize("variant", list(UpdateVariant), ids=lambda v: v.value)
+def test_cold_table_solves_build_no_state_and_run_no_kernel(variant, monkeypatch):
+    # A cold lifting solve and a cold antagonistic product within the
+    # table cap enumerate no statespace, so they build no state tuple and
+    # no rank dict over one, and no column fill runs a rule kernel: the
+    # per-Bounds caches then hold the block tree, the columns and the
+    # table alone.
+    g = generate_random(40, 12, (1, 3), 5)
+    e = g.even_vertex_count + 1
+    bounds = bounds_for_game(normalize_colours(g)[0], e)
+    assert updates.space_size(bounds, variant) <= updates.ANTAGONISTIC_TABLE_CAP
+    built = lambda *args: pytest.fail("built states or kernels")  # noqa: E731
+    monkeypatch.setattr(witnesses, "_statespace", built)
+    monkeypatch.setattr(updates, "_kernels", built)
+    monkeypatch.setattr(updates, "_kernel", built)
+    other = Bounds(max_colour=2, e=1)
+    for algo in ("lifting", "product"):
+        # Another Bounds first, so that the solve starts from empty caches.
+        witnesses._block_tree(other, witnesses.StatespaceVariant.CONCISE)
+        assert solve(g, algo, variant, UpdateKind.ANTAGONISTIC, e) == zielonka(g), algo
+        caches = (witnesses._block_tree, updates._column, updates._antagonistic_table)
+        held = [c.cache_info().currsize for c in caches]
+        assert held[0] == 1 and held[1] > 0 and held[2] == 1, (algo, held)
+        assert sum(map(len, witnesses._caches)) == sum(held), algo
 
 
 def _product_oracle_games():

@@ -38,7 +38,7 @@ for algo, variant, kind in (
 spans = {{k: v[0] for k, v in tracer.spans.items()}}
 bounds = pgwitness.automata.bounds_for_game(pgwitness.normalize_colours(game)[0])
 concise, colour = (
-    pgwitness.updates._antagonistic_table(bounds, pgwitness.UpdateVariant(v))[2]
+    pgwitness.updates._antagonistic_table(bounds, pgwitness.UpdateVariant(v))[1]
     for v in ("concise", "colour")
 )
 shared = [d for d in bounds.colours if colour[d] is concise[d]]
@@ -71,15 +71,18 @@ statespace = pgwitness.witnesses._statespace
 tracer = Tracer()
 tracer.install(pgwitness)
 concise = pgwitness.StatespaceVariant.CONCISE
-# Two solves with their own Bounds, then one statespace of a third: the
-# enumeration switches the Bounds inside the traced call itself.
-built, misses = [], [statespace.cache_info().misses]
+# Two solves with their own Bounds, each followed by an enumeration of
+# its statespace, then one statespace of a third Bounds: that enumeration
+# switches the Bounds inside the traced call itself.
+built, misses, solved = [], [statespace.cache_info().misses], []
 for seed, max_colour in ((0, 4), (1, 6)):
     game = pgwitness.generate_random(12, max_colour, (1, 3), seed)
     pgwitness.solve(
         game, "lifting", pgwitness.UpdateVariant.CONCISE, pgwitness.UpdateKind.ANTAGONISTIC
     )
+    solved.append(statespace.cache_info().misses)
     built.append((pgwitness.automata.bounds_for_game(pgwitness.normalize_colours(game)[0]), concise))
+    pgwitness.enumerate_statespace(*built[-1])
     misses.append(statespace.cache_info().misses)
 built.append((pgwitness.Bounds(max_colour=8, e=30), pgwitness.StatespaceVariant.ORIGINAL_LENGTH))
 pgwitness.enumerate_statespace(*built[-1])
@@ -87,6 +90,7 @@ misses.append(statespace.cache_info().misses)
 print(json.dumps({{
     "bounds": len(set(b for b, _ in built)),
     "misses": misses,
+    "solved": solved,
     "states": tracer.counts.get("witnesses.states", 0),
     "sizes": sum(pgwitness.witnesses.statespace_size(*key) for key in built),
 }}))
@@ -103,5 +107,7 @@ def test_tracer_counts_every_enumeration_across_a_bounds_switch():
     assert out["bounds"] == 3
     # Emptying the caches on a new Bounds keeps the miss count, so each
     # statespace built is one miss, and the tracer counts its states.
+    # Lifting solves enumerate nothing: they walk the block tree.
     assert out["misses"] == [0, 1, 2, 3]
+    assert out["solved"] == [0, 1]
     assert out["states"] == out["sizes"]

@@ -34,7 +34,6 @@ from pgwitness.updates import (
     _column,
     _kernel,
     _kernels,
-    _ranked_space,
     antagonistic_update,
     antagonistic_update_fast,
     capped_update,
@@ -48,6 +47,7 @@ from pgwitness.witnesses import (
     WON,
     Bounds,
     StatespaceVariant,
+    _block_tree,
     enumerate_statespace,
     state_key,
     statespace_size,
@@ -365,7 +365,7 @@ def test_kernels_columns_and_memo_rows_are_shared_exactly_by_rule():
         for kind, key in ((UpdateKind.BASIC, rule), (UpdateKind.ANTAGONISTIC, over_rule)):
             moves = {v: step_memo(b, v, kind)[2] for v in UpdateVariant}
             assert_shared_exactly_by({(v, d): moves[v][d] for v, d in pairs}, key)
-        columns = {v: _antagonistic_table(b, v)[2] for v in UpdateVariant}
+        columns = {v: _antagonistic_table(b, v)[1] for v in UpdateVariant}
         assert_shared_exactly_by({(v, d): columns[v][d] for v, d in pairs}, over_rule)
 
 
@@ -395,11 +395,50 @@ def test_basic_products_on_one_memo_share_exactly_the_steps_of_one_rule(seed):
     assert sum(x >= 0 for row in rows.values() for x in row) == len(steps) < taken
 
 
-def test_enumeration_records_the_block_ends_of_the_neighbour_comparison():
+def test_the_walk_records_the_block_ends_of_the_neighbour_comparison():
     for b in SWEEP + BENCHMARK_BOUNDS:
         for variant in StatespaceVariant:
+            size, ends, *_, ranks = _block_tree(b, variant)
             space = witnesses._statespace(b, variant)
-            assert list(space.ends) == block_ends_by_neighbours(space), (b, variant)
+            assert size == len(space), (b, variant)
+            assert list(ends) == block_ends_by_neighbours(space), (b, variant)
+            assert ranks == list(range(len(space) + 1)), (b, variant)
+
+
+def test_the_walk_records_each_heads_least_entry_and_slot_cell():
+    # The per-head facts of ``witnesses._block_tree``, against the states
+    # themselves: ``P``'s least entry, and for ``P``'s overflow slot ``j``
+    # (its rightmost index holding Blank or an odd entry) the least entry
+    # of ``P[:j]`` and the rank of ``P[:j] + (2,) + Blanks``, or WON's
+    # rank when that state is past the budget; cell 0 without a slot.
+    # Leaves record nothing.
+    cells = {"slot": 0, "past-budget": 0, "no-slot": 0}
+    for b in SWEEP + BENCHMARK_BOUNDS:
+        top = b.max_colour | 1
+        for variant in (StatespaceVariant.CLASSIC_VALUE_CAPPED, StatespaceVariant.CONCISE):
+            size, _, least, slot, groups, above, _ = _block_tree(b, variant)
+            space = witnesses._statespace(b, variant)
+            rank = {w: r for r, w in enumerate(space)}
+            assert (groups[0], above[0]) == (size, top), (b, variant)
+            for r, w in enumerate(space):
+                if w[-1] != B:
+                    assert least[r] == slot[r] == 0, (b, variant, w)
+                    continue
+                P = w[:-1]
+                assert least[r] == min(filter(None, P), default=top), (b, variant, w)
+                slots = [k for k, x in enumerate(P) if x == B or x % 2]
+                cell = slot[r]
+                if not slots:
+                    assert cell == 0, (b, variant, w)
+                    cells["no-slot"] += 1
+                    continue
+                j = slots[-1]
+                group = P[:j] + (2,) + (B,) * (len(P) - j)
+                assert cell > 0, (b, variant, w)
+                assert above[cell] == min(filter(None, P[:j]), default=top), (b, variant, w)
+                assert groups[cell] == rank.get(group, size), (b, variant, w)
+                cells["slot" if group in rank else "past-budget"] += 1
+    assert min(cells.values()) > 0, cells
 
 
 def test_update_closure_and_even_stale_unreachable():
@@ -481,7 +520,7 @@ def test_antagonistic_update_enumerates_and_ranks_nothing_at_any_statespace_size
     # table cap and, from cold caches (the Bounds switch empties them),
     # within it: ``pgwitness trace --colours 4,7 --e 90 --max-colour 16``.
     assert antagonistic_update is antagonistic_update_fast
-    misses = witnesses._statespace.cache_info().misses, _ranked_space.cache_info().misses
+    misses = witnesses._statespace.cache_info().misses, _block_tree.cache_info().misses
     b = Bounds(max_colour=10, e=484)
     assert space_size(b, CONCISE) == 291606 > ANTAGONISTIC_TABLE_CAP
     start = (6, 3) + (B,) * 7
@@ -491,7 +530,7 @@ def test_antagonistic_update_enumerates_and_ranks_nothing_at_any_statespace_size
     assert space_size(b, CONCISE) == 196284 <= ANTAGONISTIC_TABLE_CAP
     run = SepAutomaton(b, CONCISE, UpdateKind.ANTAGONISTIC).run([4, 7])
     assert run == [(B,) * 7, (B,) * 6 + (4,), (B,) * 7]
-    assert (witnesses._statespace.cache_info().misses, _ranked_space.cache_info().misses) == misses
+    assert (witnesses._statespace.cache_info().misses, _block_tree.cache_info().misses) == misses
 
 
 def test_space_size_is_the_enumerated_size():
@@ -515,6 +554,16 @@ def test_enumeration_and_update_space_share_one_cache_entry():
     assert witnesses._statespace.cache_info().misses == misses + 1
 
 
+def test_enumerate_statespace_returns_the_cached_tuple():
+    # No copy: the cache holds a plain immutable tuple, so every call with
+    # the same Bounds hands out that one object.
+    b = Bounds(max_colour=7, e=45)
+    listed = enumerate_statespace(b, StatespaceVariant.CONCISE)
+    assert type(listed) is tuple
+    assert enumerate_statespace(b, StatespaceVariant.CONCISE) is listed
+    assert witnesses._statespace(b, StatespaceVariant.CONCISE) is listed
+
+
 def test_rank_table_agrees_with_the_witness_order_and_the_reference():
     """Ranks sort like ``state_key`` (WON last), and every table entry,
     mapped back to a state, is the reference antagonistic update."""
@@ -523,10 +572,12 @@ def test_rank_table_agrees_with_the_witness_order_and_the_reference():
             for e in range(1, 16):
                 b = Bounds(max_colour=maxc, e=e, min_colour=min_c)
                 for variant in UpdateVariant:
-                    space, rank, columns = _antagonistic_table(b, variant)
+                    won, columns = _antagonistic_table(b, variant)
+                    space = update_space(b, variant)
+                    rank = {s: r for r, s in enumerate(space)}
                     reference = antagonistic_reference(b, variant)
                     states = space + (WON,)
-                    won = len(space)
+                    assert won == len(space)
                     assert sorted(states, key=state_key) == list(states)
                     assert [rank[s] for s in space] == list(range(won))
                     for d in b.colours:
@@ -542,14 +593,14 @@ def test_rank_table_agrees_with_the_witness_order_and_the_reference():
 )
 def test_block_filled_table_equals_the_suffix_minimum_oracle(bounds):
     for variant in UpdateVariant:
-        _, _, columns = _antagonistic_table(bounds, variant)
+        _, columns = _antagonistic_table(bounds, variant)
         assert columns == suffix_minimum_columns(bounds, variant), variant
 
 
 def test_colour_table_shares_the_concise_columns():
     b = Bounds(12, 28)
-    colour = _antagonistic_table(b, COLOUR)[2]
-    concise = _antagonistic_table(b, CONCISE)[2]
+    colour = _antagonistic_table(b, COLOUR)[1]
+    concise = _antagonistic_table(b, CONCISE)[1]
     for d in b.colours:
         if d % 2 or d == 2:
             assert colour[d] is concise[d], d
@@ -606,7 +657,7 @@ def test_heads_with_no_entry_below_the_colour_follow_the_lemma_on_the_kernels(va
     ``d`` that ends ``P`` into itself, and the resetting greatest colour
     takes no exception either: only the all-Blank head has no entry
     below it, and it resets to itself.  The fill reads the least entry
-    from ``_ranked_space``, with ``max_colour | 1`` for an all-Blank
+    from the block tree, with ``max_colour | 1`` for an all-Blank
     ``P``, and half of it as the number of leaves when the head's block
     holds more than the head.  Leaves are found by their shared ``P``,
     blocks by the neighbour comparison."""
@@ -615,7 +666,7 @@ def test_heads_with_no_entry_below_the_colour_follow_the_lemma_on_the_kernels(va
         kernels = _kernels(b, variant)
         space = update_space(b, variant)
         ends = block_ends_by_neighbours(space)
-        recorded = _ranked_space(b, space_variant_for(variant))[4]
+        recorded = _block_tree(b, space_variant_for(variant))[2]
         for r, h in enumerate(space):
             if h[-1] != B:
                 continue
@@ -642,27 +693,36 @@ def test_heads_with_no_entry_below_the_colour_follow_the_lemma_on_the_kernels(va
     assert min(heads.values()) > 0, heads
 
 
-@pytest.mark.parametrize("variant", [CLASSIC, CONCISE], ids=lambda v: v.value)
+@pytest.mark.parametrize("variant", list(UpdateVariant), ids=lambda v: v.value)
 def test_evaluated_outcomes_follow_the_block_tree_on_the_kernels(variant):
-    """The three cases the classic and concise columns read from the block
-    tree instead of a kernel (see ``_antagonistic_table``), checked on the
-    capped kernels themselves.  A head ``h = P + (Blank,)`` whose ``P``
-    has an entry below ``d`` has the parent ``p = P[:i] + Blanks``, where
-    ``i`` is the index of ``P``'s last non-Blank entry.  When no entry of
-    ``p`` is below ``d``, ``h`` goes to its sibling ``P[:i] + (d,) +
-    Blanks``, a state of the space, or to ``p`` when the concise rules
-    blank a repeated ``d``.  The fill never meets that repeat: ``p``'s
-    own sibling with entry 2, later than ``p``'s block, goes to ``p``
-    too, so ``p``'s block is squeezed.  Otherwise ``h`` has ``p``'s
-    outcome (the fill meets this on even colours only: on an odd one
-    ``p``'s block is filled whole).  On an even colour, ``h``'s leaves
-    take ``h``'s outcome when ``h`` writes before ``P``'s overflow slot
-    ``j`` (its rightmost index holding Blank or an odd colour), else
-    ``P[:j] + (d,) + Blanks``, or WON past the budget or with no
-    slot."""
-    cases = dict.fromkeys(
-        ("sibling", "repeat", "inherited", "leaf-head", "slot", "slot-won", "no-slot"), 0
-    )
+    """The cases the columns read from the block tree instead of a kernel
+    (see ``_antagonistic_table``), checked on the capped kernels
+    themselves.  A head ``h = P + (Blank,)`` whose ``P`` has an entry
+    below ``d`` has the parent ``p = P[:i] + Blanks``, where ``i`` is the
+    index of ``P``'s last non-Blank entry.
+
+    Classic and concise rules: when no entry of ``p`` is below ``d``,
+    ``h`` goes to its sibling ``P[:i] + (d,) + Blanks``, a state of the
+    space, or to ``p`` when the concise rules blank a repeated ``d``.
+    The fill never meets that repeat: ``p``'s own sibling with entry 2,
+    later than ``p``'s block, goes to ``p`` too, so ``p``'s block is
+    squeezed.  Otherwise ``h`` has ``p``'s outcome (the fill meets this
+    on even colours only: on an odd one ``p``'s block is filled whole).
+
+    The colour rules' own colours, even and from 4 up: when no entry of
+    ``p`` is below ``d``, the sibling with ``d``, later than ``h``'s
+    block, has ``h``'s outcome, whether ``P``'s least entry is even
+    (absorbed) or odd (released), so the block is squeezed; heads below
+    another entry are never met.
+
+    On an even colour, ``h``'s leaves take ``h``'s outcome when ``h``
+    writes before ``P``'s overflow slot ``j`` (its rightmost index
+    holding Blank or an odd colour), else ``P[:j] + (d,) + Blanks``, or
+    WON past the budget or with no slot; the colour rules' leaf runs are
+    met only when no entry of ``P`` is below ``d``."""
+    own = variant is COLOUR
+    names = ("raise-even", "raise-odd") if own else ("sibling", "repeat", "inherited", "leaf-head")
+    cases = dict.fromkeys(names + ("slot", "slot-won", "no-slot"), 0)
     for b in SWEEP + BENCHMARK_BOUNDS:
         kernels = _kernels(b, variant)
         space = update_space(b, variant)
@@ -680,10 +740,20 @@ def test_evaluated_outcomes_follow_the_block_tree_on_the_kernels(variant):
             for d in b.colours:
                 if d == 1 or d % 2 and d == b.max_colour:
                     continue  # the unchanged and the resetting colour
+                if own and (d % 2 or d == 2):
+                    continue  # the concise rules' columns
                 writes = [k for k, x in enumerate(P) if x != B and x < d]
                 if writes:
                     i = max(k for k, x in enumerate(P) if x != B)
                     p = P[:i] + (B,) * (L - i)
+                    sibling = P[:i] + (d,) + (B,) * (L - 1 - i)
+                    if own:
+                        if len(writes) > 1:
+                            continue  # never met: p's block is squeezed
+                        assert sibling in members, (b, h, d)
+                        assert out(h, d) == out(sibling, d), (b, h, d)
+                        cases["raise-odd" if P[i] % 2 else "raise-even"] += 1
+                        continue  # the block is squeezed, leaves and all
                     if all(x >= d for x in p if x != B):
                         if variant is CONCISE and d % 2 and d in p:
                             expected = p
@@ -692,7 +762,7 @@ def test_evaluated_outcomes_follow_the_block_tree_on_the_kernels(variant):
                             later = p[:j] + (2,) + (B,) * (L - 1 - j)
                             assert later in members and out(later, d) == p, (b, h, d)
                         else:
-                            expected = P[:i] + (d,) + (B,) * (L - 1 - i)
+                            expected = sibling
                             assert expected in members, (b, h, d)
                             cases["sibling"] += 1
                     else:
@@ -729,8 +799,13 @@ def test_evaluated_outcomes_follow_the_block_tree_on_the_kernels(variant):
         (Bounds(8, 77), CONCISE, 8_737, 2_918),
         (Bounds(16, 16), CLASSIC, 20_630, 3_529),
         (Bounds(16, 16), CONCISE, 16_073, 2_640),
+        (Bounds(8, 77), COLOUR, 5_501, 2_918),
+        (Bounds(16, 16), COLOUR, 10_053, 2_640),
     ],
-    ids=["8-77-classic", "8-77-concise", "16-16-classic", "16-16-concise"],
+    ids=[
+        "8-77-classic", "8-77-concise", "16-16-classic", "16-16-concise",
+        "8-77-colour", "16-16-colour",
+    ],
 )
 def test_a_cold_table_build_evaluates_the_rules_this_often(
     monkeypatch, bounds, variant, total, colour_2
@@ -752,9 +827,11 @@ def test_a_cold_table_build_evaluates_the_rules_this_often(
     _antagonistic_table.cache_clear()
     _column.cache_clear()
     _antagonistic_table(bounds, variant)
-    # The classic and concise columns read every outcome from the block
-    # tree: no kernel runs, and the outcomes read are those the kernels
-    # gave before, one per head or leaf run that no shortcut fills.
+    # Every column reads its outcomes from the block tree: no kernel
+    # runs.  The classic and concise columns read the outcomes the kernels
+    # gave before, one per head or leaf run that no shortcut fills; the
+    # colour rules' own columns squeeze every head with an entry below the
+    # colour and read only leaf runs.
     assert calls == {}
     over = space_variant_for(variant)
     reads = {d: _column(bounds, over, rule_set(variant, d), d)[1] for d in bounds.colours}
@@ -802,9 +879,8 @@ def test_each_column_is_built_once_by_the_rules_that_decide_it(monkeypatch):
             for colours in record.values():
                 colours.clear()
         solve(g, "lifting", variant, UpdateKind.ANTAGONISTIC, e)
-        # Only the colour rules' own columns run kernels; the others read
-        # the block tree.
-        assert fetched == {CLASSIC: set(), CONCISE: set(), COLOUR: built[COLOUR]}
+        # Every column reads the block tree, and none fetches a kernel.
+        assert fetched == {CLASSIC: set(), CONCISE: set(), COLOUR: set()}
         return {rule: set(colours) for rule, colours in built.items()}
 
     odd = {d for d in bounds.colours if d % 2 and d > 1}
@@ -857,14 +933,16 @@ def test_memo_basic_steps_equal_the_capped_update(bounds):
         assert got == basic_columns(bounds, variant), variant
 
 
-def test_statespace_ranks_and_step_memos_are_cached_per_statespace_and_bounds():
+def test_block_trees_and_step_memos_are_cached_per_statespace_and_bounds():
     b = Bounds(9, 37)
-    ranked = _ranked_space.cache_info().misses
+    walked = _block_tree.cache_info().misses
     tables = {variant: rank_table(b, variant) for variant in UpdateVariant}
-    # One (space, rank, ends) entry per statespace: concise and colour share one.
-    assert _ranked_space.cache_info().misses == ranked + 2
-    assert tables[CONCISE][1] is tables[COLOUR][1] is _ranked_space(b, StatespaceVariant.CONCISE)[1]
-    assert tables[CLASSIC][1] is not tables[CONCISE][1]
+    # One block tree per statespace: concise and colour share one, and
+    # colour 1's column is its ranks.
+    assert _block_tree.cache_info().misses == walked + 2
+    ranks = _block_tree(b, StatespaceVariant.CONCISE)[-1]
+    assert tables[CONCISE][1][1] is tables[COLOUR][1][1] is ranks
+    assert tables[CLASSIC][1][1] is not ranks
     # Solves that share Bounds share one memo per update kind, whatever
     # their rule sets.
     g = generate_random(30, 9, (1, 3), 0)
@@ -883,13 +961,13 @@ def test_statespace_ranks_and_step_memos_are_cached_per_statespace_and_bounds():
     # A new Bounds drops the memos and tables of the old one.
     step_memo(Bounds(9, 38), CLASSIC, UpdateKind.BASIC)
     assert _shared_memo.cache_info() == (misses + 1, 1)
-    assert _ranked_space.cache_info().currsize == 0
+    assert _block_tree.cache_info().currsize == 0
     assert _shared_memo(b, UpdateKind.BASIC) is not memo
 
 
 PER_BOUNDS_CACHES = (
     witnesses._statespace,
-    _ranked_space,
+    _block_tree,
     _column,
     _antagonistic_table,
     _kernels,
@@ -904,8 +982,9 @@ def solved_entries(bounds):
     spaces = [(bounds, space) for space in set(map(space_variant_for, UpdateVariant))]
     rules = [(v, d) for v in UpdateVariant for d in bounds.colours]
     return {
-        witnesses._statespace: spaces,
-        _ranked_space: spaces,
+        # Solves enumerate no statespace: the tables read block trees.
+        witnesses._statespace: [],
+        _block_tree: spaces,
         # One column per statespace and rule: the colour table reads the
         # concise columns of colour 1, colour 2 and the odd colours.
         _column: list({(bounds, space_variant_for(v), the_rule(v, d), d) for v, d in rules}),
@@ -954,14 +1033,14 @@ def test_per_bounds_caches_keep_one_bounds_worth():
 
 def test_enumerations_of_other_bounds_leave_nothing_behind_a_solve():
     # Three statespaces of three Bounds, then solves with a fourth: only
-    # the fourth Bounds' entries stay, two statespaces among them.
+    # the fourth Bounds' entries stay, and no statespace among them.
     for bounds, space in zip(
         (Bounds(10, 40), Bounds(12, 20), Bounds(8, 90)), StatespaceVariant
     ):
         enumerate_statespace(bounds, space)
     g = generate_random(20, 8, (1, 3), 4)
     bounds = solve_every_rule_set(g, g.even_vertex_count + 3)
-    assert witnesses._statespace.cache_info().currsize == 2
+    assert witnesses._statespace.cache_info().currsize == 0
     assert_caches_hold_exactly(solved_entries(bounds))
 
 

@@ -135,7 +135,7 @@ def test_state_str():
 def test_statespace_17_for_two_colours_budget_one():
     b = Bounds(max_colour=2, e=1)
     space = enumerate_statespace(b, StatespaceVariant.CONCISE)
-    assert space == [(B,), (2,)]
+    assert space == ((B,), (2,))
 
 
 @pytest.mark.parametrize("max_colour", [2, 3, 4, 5, 6])
@@ -162,11 +162,13 @@ def test_enumeration_cap_is_enforced():
 
 
 def test_enumeration_leaves_no_reference_cycle():
-    # A cycle would keep an evicted statespace alive until the next full
-    # collection, which the product solver defers.
+    # Neither walk leaves one.  A cycle would keep an evicted statespace
+    # alive until the next full collection, which the product solver
+    # defers.
     gc.collect()
     for variant in StatespaceVariant:
         witnesses._statespace.__wrapped__(Bounds(max_colour=6, e=20), variant)
+        witnesses._block_tree.__wrapped__(Bounds(max_colour=6, e=20), variant)
     assert gc.collect() == 0
 
 
