@@ -241,7 +241,9 @@ def normalize_colours(game: ParityGame) -> tuple[ParityGame, dict[int, int]]:
     winners are unchanged.  The lowest colour in use maps to 1 if odd and
     to 2 if even, and distinct used colours map to consecutive integers.
     Returns the rewritten game together with the old->new colour mapping.
-    Applying the function twice gives the same colours as applying it once.
+    When every colour maps to itself the input game is returned as it is,
+    so its cached ``predecessors`` serve every solve of it.  Applying the
+    function twice gives the same game as applying it once.
     """
     used = sorted(set(game.colours))
     mapping: dict[int, int] = {}
@@ -258,6 +260,8 @@ def normalize_colours(game: ParityGame) -> tuple[ParityGame, dict[int, int]]:
                 new += 1
         mapping[c] = new
         prev_old, prev_new = c, new
+    if all(c == new for c, new in mapping.items()):
+        return game, mapping
     new_colours = tuple(mapping[c] for c in game.colours)
     new_game = ParityGame(
         owners=game.owners,

@@ -293,7 +293,27 @@ def solve_lifting(
     least fixpoint; Even wins exactly the vertices that stabilise at WON.
 
     Values are statespace ranks (WON is the rank past the last state), so
-    the witness order is integer order and an update is a table lookup.
+    the witness order is integer order and an update is a table lookup
+    in the column ``col`` of the vertex's colour.  A pop reads columns
+    only when a successor's lift can have changed its answer, since each
+    vertex keeps a justification:
+
+    * an Even vertex, the maximum of ``col[mu[w]]`` over its successors
+      ``w``.  It starts at ``col[0]`` and is raised by one read whenever
+      a successor lifts, so a pop reads it and scans nothing;
+    * an Odd vertex, the successor that gave its minimum at its last
+      scan, or -1 once that successor has lifted (or before any scan).
+      A pop scans its successors only at -1.
+
+    Columns are suffix minima, so ``col`` never decreases, and measures
+    only rise.  The Even maximum is therefore exactly what a full scan
+    would find.  The Odd minimum stays what the last scan found until
+    the successor that gave it lifts, and ``mu[v]`` is at least that
+    minimum, so such a pop would not lift.  Every pop lifts exactly when
+    a full scan would, to the same value: the queue, its order, every
+    lift and the answer are those of the full-scan loop
+    (``full_scan_lifting`` in ``tests/oracles.py``).
+
     The automaton on ``bounds`` must separate on ``game`` (see
     ``admit``), else ValueError.  Raises ResourceCapError before any work
     when the statespace is above the antagonistic table cap.
@@ -307,41 +327,59 @@ def solve_lifting(
             f"table cap of {ANTAGONISTIC_TABLE_CAP}"
         )
     won, columns = table
+    mu, lifts = _lift(game, columns)
+    even = frozenset(v for v in game.vertices() if mu[v] == won)
+    if stats is not None:
+        stats["lifts"] = lifts
+    return WinningSets(even=even, odd=frozenset(game.vertices()) - even)
+
+
+def _lift(game: ParityGame, columns: dict[int, list[int]]) -> tuple[list[int], int]:
+    """The least fixpoint of lifting on the columns of a rank table, in
+    statespace ranks per vertex, and the number of lifts taken to reach
+    it, in FIFO worklist order from every vertex in vertex order, with
+    the justifications ``just`` (see ``solve_lifting``)."""
     column = [columns[c] for c in game.colours]
     succ = game.succ
     preds = game.predecessors
     even_owned = [o == EVEN for o in game.owners]
     mu = [0] * game.n  # every vertex starts at the all-Blank state, the least
+    just = [col[0] if even else -1 for col, even in zip(column, even_owned)]
     in_queue = [True] * game.n
     queue: deque[int] = deque(game.vertices())
     lifts = 0
     while queue:
         v = queue.popleft()
         in_queue[v] = False
-        col = column[v]
-        ws = succ[v]
-        new = col[mu[ws[0]]]
         if even_owned[v]:
-            for w in ws:
-                x = col[mu[w]]
-                if x > new:
-                    new = x
-        else:
+            new = just[v]
+        elif just[v] < 0:
+            col = column[v]
+            ws = succ[v]
+            low = ws[0]
+            new = col[mu[low]]
             for w in ws:
                 x = col[mu[w]]
                 if x < new:
                     new = x
+                    low = w
+            just[v] = low
+        else:
+            continue
         if new > mu[v]:
             mu[v] = new
             lifts += 1
             for p in preds[v]:
+                if even_owned[p]:
+                    x = column[p][new]
+                    if x > just[p]:
+                        just[p] = x
+                elif just[p] == v:
+                    just[p] = -1
                 if not in_queue[p]:
                     in_queue[p] = True
                     queue.append(p)
-    even = frozenset(v for v in game.vertices() if mu[v] == won)
-    if stats is not None:
-        stats["lifts"] = lifts
-    return WinningSets(even=even, odd=frozenset(game.vertices()) - even)
+    return mu, lifts
 
 
 def solve(

@@ -42,6 +42,9 @@ ONE_MEMO = (
     "tests/test_updates.py::test_basic_products_on_one_memo_share_exactly_the_steps_of_one_rule"
 )
 WALK_ENDS = "tests/test_updates.py::test_the_walk_records_the_block_ends_of_the_neighbour_comparison"
+JUSTIFIED_LIFTING = (
+    "tests/test_solvers.py::test_justified_lifting_takes_the_lifts_of_the_full_scan_oracle"
+)
 DUPLICATED_SUCCESSOR = (
     "tests/test_metamorphic.py::test_a_duplicated_successor_changes_no_answer_and_no_count"
 )
@@ -278,6 +281,28 @@ MUTANTS = (
         "for w in dict.fromkeys(self.succ[v]):",
         "for w in self.succ[v]:",
         ("tests/test_games.py::test_predecessors_list_a_repeated_edge_once",),
+    ),
+    Mutant(
+        "normalised-game-returned-when-colours-change",
+        GAMES,
+        "if all(c == new for c, new in mapping.items()):",
+        "if True:",
+        ("tests/test_games.py::test_normalize_colours_returns_an_already_normalised_game_itself",),
+    ),
+    # The lifting loop's justifications (solvers._lift).
+    Mutant(
+        "odd-justification-kept-when-its-successor-lifts",
+        SOLVERS,
+        "elif just[p] == v:\n                    just[p] = -1",
+        "elif just[p] == v:\n                    pass",
+        (JUSTIFIED_LIFTING,),
+    ),
+    Mutant(
+        "even-maximum-raised-from-the-lifted-vertex-column",
+        SOLVERS,
+        "x = column[p][new]",
+        "x = column[v][new]",
+        (JUSTIFIED_LIFTING,),
     ),
     # The one way into the witness solvers (solvers.solve, automata.admit).
     Mutant(

@@ -7,15 +7,18 @@ check.  Beside them live the specification the rules are checked
 against: the witness order as a three-way comparison, odd-repeat
 truncation, the semantic checkers that decide whether a play prefix
 holds the chain fragments a witness claims, random plays with their
-longest even chains, and the half-budget counting identity.  One helper,
-``table_update``, reads the package's own rank table, so that checks can
-compare it with the references and with the constructive routine.
+longest even chains, and the half-budget counting identity.  Two helpers
+read the package's own rank table: ``table_update``, so that checks can
+compare it with the references and with the constructive routine, and
+``full_scan_lifting``, the lifting loop that re-reads every successor at
+every pop, against which the package's justified loop is checked.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from typing import Callable, Sequence
 
 from pgwitness.counting import _check, count_concise_by_length
@@ -414,6 +417,53 @@ def product_even_region(
                 winning.add(p)
                 changed = True
     return frozenset(v for v, _ in starts & winning), len(seen)
+
+
+def full_scan_lifting(
+    game: ParityGame, bounds: Bounds, variant: UpdateVariant, order: str = "fifo"
+) -> tuple[list[int], int]:
+    """The final lifting measures (statespace ranks) and the number of
+    lifts, by a loop that re-reads every successor at every pop.
+
+    Measures start at rank 0.  A pop takes the max (Even) or min (Odd)
+    of ``col[mu[w]]`` over the successors ``w``, with ``col`` the rank
+    table's column of the vertex's colour, and lifts when that is above
+    the measure; a lift queues each predecessor not already queued, in
+    predecessor order.  ``order`` is ``"fifo"`` (a queue of every vertex
+    in vertex order, the package's order) or ``"lifo"`` (a stack that
+    pops vertex 0 first and pushes each newly queued predecessor on top).
+    """
+    if order not in ("fifo", "lifo"):
+        raise ValueError(f"unknown worklist order {order!r}")
+    _, columns = rank_table(bounds, variant)
+    column = [columns[c] for c in game.colours]
+    preds = game.predecessors
+    mu = [0] * game.n
+    queued = [True] * game.n
+    work = deque(game.vertices())
+    pop = work.popleft
+    if order == "lifo":
+        work.reverse()
+        pop = work.pop
+    lifts = 0
+    while work:
+        v = pop()
+        queued[v] = False
+        col = column[v]
+        ws = game.succ[v]
+        new = col[mu[ws[0]]]
+        for w in ws:
+            x = col[mu[w]]
+            if (x > new) if game.owners[v] == EVEN else (x < new):
+                new = x
+        if new > mu[v]:
+            mu[v] = new
+            lifts += 1
+            for p in preds[v]:
+                if not queued[p]:
+                    queued[p] = True
+                    work.append(p)
+    return mu, lifts
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,24 @@ def test_normalize_colours_examples():
     assert mapping2 == {1: 1, 2: 2, 3: 3}
 
 
+def test_normalize_colours_returns_an_already_normalised_game_itself():
+    """An already-normalised game comes back as the same object, with its
+    cached predecessors; any other comes back as a new game with the
+    mapped colours and everything else kept."""
+    g = game([0, 1, 0], [1, 2, 3], [[1], [2], [0, 0]])
+    preds = g.predecessors
+    h, mapping = normalize_colours(g)
+    assert h is g and h.predecessors is preds
+    assert mapping == {1: 1, 2: 2, 3: 3}
+    cases = (((1, 2, 5), (1, 2, 3)), ((4, 5, 6), (2, 3, 4)), ((0, 3, 8), (2, 3, 4)))
+    for colours, expected in cases:
+        named = ParityGame(g.owners, colours, g.succ, ids=(7, 8, 9), names=("a", None, "c"))
+        h, _ = normalize_colours(named)
+        assert h is not named
+        assert h == ParityGame(g.owners, expected, g.succ, ids=(7, 8, 9), names=("a", None, "c"))
+        assert normalize_colours(h)[0] is h
+
+
 @given(st.lists(st.integers(0, 9), min_size=1, max_size=6), st.integers(0, 999))
 @settings(max_examples=80, deadline=None)
 def test_normalize_preserves_parity_and_order(colour_pool, seed):
