@@ -134,13 +134,15 @@ def solve_product(
     Every position with that exit belongs to v's owner and moves to the
     same positions (w, q2), so the game from each of them is the game
     from the exit, and each has the exit's winner.  Exits with q2 WON
-    win at once and are not expanded.  Positions are counted, not
-    stored: one vertex set per state collects the successors of every
-    exit into it, WON exits included, and ``stats["product_positions"]``
-    is the total of their sizes, taken after exploration.  Each exit is
-    the exit of a position of its own, so exploration stops as soon as
-    the exits outnumber ``PRODUCT_CAP``; the final count decides the cap
-    exactly.
+    win at once and are not expanded.  Exploration only finds the exits
+    and records their predecessors; a repeated edge is followed once per
+    copy.  Positions are counted, not stored, after exploration: (w, q)
+    is reached iff q is the initial state or the state of an exit (v, q)
+    of a predecessor v of w, WON exits included, and
+    ``stats["product_positions"]`` is the number of such pairs.  Each
+    exit is the exit of a position of its own, so exploration stops as
+    soon as the exits outnumber ``PRODUCT_CAP``; the final count decides
+    the cap exactly.
     """
     b = automaton.bounds
     admit(game, b)
@@ -191,27 +193,24 @@ def _solve_exits(
 ) -> tuple[list[bool], int]:
     """Explore and solve the product on exits (see ``solve_product``):
     whether each start exit (v, initial) is won, in vertex order, and the
-    number of product positions."""
+    number of product positions.  Exploration finds the exits; the
+    positions are counted from the exit maps and the countdowns seeded
+    after it."""
     # Exits are numbered in order of discovery (exit_of[v] maps q to the
     # number of (v, q); 0..n-1 are the start exits) and expanded in that
     # order, breadth first: expanding x = (v, q) makes x a predecessor of
-    # the exits (w, q2) of its successor positions (w, q).  Exit y's first
+    # the exits (w, q2) of its successor positions (w, q), once per edge
+    # (v, w), so a repeated edge lists x once per copy.  Exit y's first
     # predecessor is first[y] (-1 for a start exit), any others more[y]
-    # (None until it has a second).  Each exit's countdown is set when it
-    # is found (see below), and WON exits join the queue then.
+    # (None until it has a second).
     n = game.n
     colours = game.colours
-    game_succ = [tuple(dict.fromkeys(ws)) for ws in game.succ]  # duplicate edges count once
-    succ_mask = [sum(1 << w for w in ws) for ws in game_succ]
-    need = [1 if o == EVEN else len(ws) for o, ws in zip(game.owners, game_succ)]
     exit_of: list[dict[int, int]] = [{} for _ in range(n)]
     # rows[v]: for each successor w of v, w's moves row (the row of w's
     # colour; ``take`` extends rows in place) and w's exit map.
-    rows = [[(w, moves[colours[w]], exit_of[w]) for w in ws] for ws in game_succ]
+    rows = [[(w, moves[colours[w]], exit_of[w]) for w in ws] for ws in game.succ]
     vertex_of = list(game.vertices())
     state_of = []
-    count = []
-    queue = []
     for v in vertex_of:
         row = moves[colours[v]]
         q2 = row[initial]
@@ -219,13 +218,9 @@ def _solve_exits(
             q2 = row[initial] = take(initial, colours[v])
         exit_of[v][q2] = v
         state_of.append(q2)
-        # Never WON: one colour read from all-Blank has value at most 1 <= e.
-        count.append(need[v])
     first = [-1] * n
     more: list[list[int] | None] = [None] * n
-    reached = {initial: (1 << n) - 1}  # reached[q]: the vertices w of positions (w, q) met
     for x, (v, q) in enumerate(zip(vertex_of, state_of)):  # the lists grow while this runs
-        reached[q] = reached.get(q, 0) | succ_mask[v]
         if q == won:
             continue
         for w, row, exits in rows[v]:
@@ -234,32 +229,39 @@ def _solve_exits(
                 q2 = row[q] = take(q, colours[w])
             y = exits.get(q2)
             if y is None:
-                y = exits[q2] = len(first)
+                exits[q2] = len(first)
                 vertex_of.append(w)
                 state_of.append(q2)
                 first.append(x)
                 more.append(None)
-                if q2 == won:
-                    count.append(0)
-                    queue.append(y)
-                else:
-                    count.append(need[w])
             elif more[y] is None:
                 more[y] = [x]
             else:
                 more[y].append(x)
-        if len(first) > cap:  # each exit has a position of its own in reached
+        if len(first) > cap:  # each exit has a position of its own
             break
-    positions = sum(vs.bit_count() for vs in reached.values())
+    # Position (w, q) is reached iff q is the initial state or the state
+    # of an exit (v, q) of a predecessor v of w, WON exits included.
+    positions = sum(len({initial}.union(*[exit_of[v] for v in vs])) for vs in game.predecessors)
     if positions > cap:
         raise ResourceCapError(f"product exceeds cap of {cap} positions (bounds {bounds})")
 
     # Backward induction over the exits (successor-closed), one countdown
     # per exit: an exit wins once its countdown reaches 0.  WON exits start
-    # at 0, Even exits at 1 (one winning successor) and Odd exits at their
-    # number of successors (all of them winning).  An exit is a predecessor
-    # of each successor once, so it joins the queue once.  The start exits'
-    # first predecessor -1 reads the extra slot count[-1], which stays < 0.
+    # at 0 and are queued, Even exits at 1 (one winning successor) and Odd
+    # exits at their number of successors, repeats included (all of them
+    # winning).  An exit is a predecessor of each successor once per edge,
+    # so its countdown reaches 0 once and it joins the queue once.  The
+    # start exits' first predecessor -1 reads the extra slot count[-1],
+    # which stays < 0.
+    need = [1 if o == EVEN else len(ws) for o, ws in zip(game.owners, game.succ)]
+    count = [need[v] for v in vertex_of]
+    queue = []
+    for exits in exit_of:  # a vertex has at most one WON exit
+        y = exits.get(won)
+        if y is not None:
+            count[y] = 0
+            queue.append(y)
     count.append(-1)
     for t in queue:  # the queue grows while this runs
         x = first[t]

@@ -45,6 +45,7 @@ WALK_ENDS = "tests/test_updates.py::test_the_walk_records_the_block_ends_of_the_
 JUSTIFIED_LIFTING = (
     "tests/test_solvers.py::test_justified_lifting_takes_the_lifts_of_the_full_scan_oracle"
 )
+CAP_BOUNDARY = "tests/test_solvers.py::test_product_cap_admits_exactly_the_product"
 DUPLICATED_SUCCESSOR = (
     "tests/test_metamorphic.py::test_a_duplicated_successor_changes_no_answer_and_no_count"
 )
@@ -335,25 +336,32 @@ MUTANTS = (
         (PRODUCT_ORACLE,),
     ),
     Mutant(
-        "won-exit-found-later-not-queued",
+        "won-exit-seeded-but-not-queued",
         SOLVERS,
-        "count.append(0)\n                    queue.append(y)",
-        "count.append(0)",
+        "count[y] = 0\n            queue.append(y)",
+        "count[y] = 0",
         (PRODUCT_ORACLE,),
     ),
     Mutant(
-        "odd-countdown-from-the-degree-with-duplicates",
+        "odd-countdown-from-the-distinct-successors",
         SOLVERS,
-        "zip(game.owners, game_succ)",
-        "zip(game.owners, game.succ)",
+        "1 if o == EVEN else len(ws)",
+        "1 if o == EVEN else len(set(ws))",
         (DUPLICATED_SUCCESSOR,),
     ),
     Mutant(
-        "predecessor-lists-repeat-entries",
+        "exploration-runs-past-the-cap",
         SOLVERS,
-        "game_succ = [tuple(dict.fromkeys(ws)) for ws in game.succ]",
-        "game_succ = [tuple(ws) for ws in game.succ]",
-        (DUPLICATED_SUCCESSOR,),
+        "if len(first) > cap:",
+        "if False:",
+        (CAP_BOUNDARY,),
+    ),
+    Mutant(
+        "positions-without-the-initial-state",
+        SOLVERS,
+        "len({initial}.union(",
+        "len(set().union(",
+        (PRODUCT_ORACLE,),
     ),
 )
 

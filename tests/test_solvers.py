@@ -424,10 +424,14 @@ def test_antagonistic_steps_above_the_table_cap_take_the_constructive_update(mon
     ids=["basic-within-cap", "ranks-antagonistic", "basic-above-cap", "interned-antagonistic"],
 )
 def test_product_cap_admits_exactly_the_product(g, e, variants, kind, monkeypatch):
-    # A product of P positions solves under cap=P and fails under cap=P-1,
-    # within the table cap and above it, for both step sources.
+    # A product of P positions solves under cap=P, with the same count, and
+    # fails under cap=P-1, within the table cap and above it, for both step
+    # sources.  Under a cap below the n start exits it fails once the first
+    # exit is expanded, so a step memo then holds at most the start steps
+    # and vertex 0's successor steps.
     norm, _ = normalize_colours(g)
     bounds = bounds_for_game(norm, e)
+    memo = kind is UpdateKind.BASIC or e is not None
     for variant in variants:
         above_cap = updates.space_size(bounds, variant) > updates.ANTAGONISTIC_TABLE_CAP
         assert above_cap == (e is not None), variant
@@ -437,10 +441,32 @@ def test_product_cap_admits_exactly_the_product(g, e, variants, kind, monkeypatc
         positions = stats["product_positions"]
         with monkeypatch.context() as m:
             m.setattr(solvers, "PRODUCT_CAP", positions)
-            assert solve_product(norm, aut) == expected, variant
-            m.setattr(solvers, "PRODUCT_CAP", positions - 1)
-            with pytest.raises(ResourceCapError, match=f"cap of {positions - 1} positions"):
-                solve_product(norm, aut)
+            assert solve_product(norm, aut, stats=stats) == expected, variant
+            assert stats["product_positions"] == positions, variant
+            for cap in (positions - 1, norm.n - 1):
+                m.setattr(solvers, "PRODUCT_CAP", cap)
+                automata._shared_memo.cache_clear()
+                with pytest.raises(ResourceCapError, match=f"cap of {cap} positions"):
+                    solve_product(norm, aut)
+        if memo:
+            moves = automata.step_memo(bounds, variant, kind)[2]
+            taken = sum(q >= 0 for row in moves.values() for q in row)
+            assert taken <= norm.n + len(norm.succ[0]), variant
+
+
+def test_product_positions_are_pinned_at_benchmark_scale():
+    # The structure of the cli-random game: 150 vertices, colours up to 8.
+    # Classic, concise and colour positions, each basic then antagonistic.
+    g = generate_random(150, 8, (1, 3), 1)
+    oracle = zielonka(g)
+    assert len(oracle.even) == 145
+    positions = []
+    for variant in UpdateVariant:
+        for kind in UpdateKind:
+            stats: dict = {}
+            assert solve(g, "product", variant, kind, stats=stats) == oracle, (variant, kind)
+            positions.append(stats["product_positions"])
+    assert positions == [146_845, 164_461, 89_849, 105_204, 92_931, 103_394]
 
 
 def test_product_cap_fails_before_exploring_the_product(monkeypatch):
