@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from . import updates
 from .errors import ResourceCapError
 from .games import ParityGame
+from .records import Record
 from .updates import UpdateVariant, _kernels, antagonistic_update, capped_update
 from .witnesses import WON, Bounds, State, last_bounds_cache, witness_value
 
@@ -27,8 +27,7 @@ class UpdateKind(enum.Enum):
     ANTAGONISTIC = "antagonistic"
 
 
-@dataclass(frozen=True)
-class SepAutomaton:
+class SepAutomaton(Record):
     """A witness statespace with one of the update disciplines.
 
     States are witnesses plus WON; the initial state is all-Blank; WON is

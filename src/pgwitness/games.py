@@ -17,19 +17,17 @@ is Even, owner 1 is Odd.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import cached_property
-from typing import Iterator
 
 from .errors import GameParseError
+from .records import Record
 
 EVEN = 0
 ODD = 1
 
 
-@dataclass(frozen=True)
-class ParityGame:
+class ParityGame(Record):
     """Immutable parity game over vertices ``0..n-1``.
 
     ``owners[v]`` is EVEN or ODD, ``colours[v]`` a colour >= 0, and
@@ -286,6 +284,8 @@ def generate_random(
     (at least one, so the game has no dead ends; at most ``n``, so
     ``out_degree[0]`` may not exceed ``n``).
     """
+    import random  # here, so that importing the package does not load it
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if max_colour < 1:

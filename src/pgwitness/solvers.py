@@ -22,18 +22,17 @@ from __future__ import annotations
 import gc
 import sys
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 from .automata import SepAutomaton, UpdateKind, admit, bounds_for_game, step_memo
 from .errors import ResourceCapError
 from .games import EVEN, ODD, ParityGame, generate_random, normalize_colours
+from .records import Record
 from .updates import ANTAGONISTIC_TABLE_CAP, UpdateVariant, rank_table, space_size
 from .witnesses import WON, Bounds
 
 
-@dataclass(frozen=True)
-class WinningSets:
+class WinningSets(Record):
     even: frozenset[int]
     odd: frozenset[int]
 

@@ -18,7 +18,7 @@ form is not; monotonicity is what value iteration needs.
 from __future__ import annotations
 
 import enum
-from typing import Callable
+from collections.abc import Callable
 
 from .witnesses import (
     BLANK,

@@ -23,12 +23,12 @@ from __future__ import annotations
 import enum
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import wraps
-from typing import Callable, Union
 
 from .counting import count_classic_by_value, count_concise_by_value, count_monotone_seqs
 from .errors import ResourceCapError
+from .records import Record
 
 BLANK = 0
 
@@ -51,7 +51,7 @@ WON = _WonType()
 
 Entry = int  # BLANK or a colour
 Witness = tuple[int, ...]
-State = Union[Witness, _WonType]
+State = Witness | _WonType
 
 
 class StatespaceVariant(enum.Enum):
@@ -69,8 +69,7 @@ class StatespaceVariant(enum.Enum):
     CONCISE = "concise"
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Parameters a witness statespace is built from.
 
     ``max_colour`` and ``min_colour`` delimit the consecutive colour range

@@ -31,6 +31,7 @@ SOLVERS = "src/pgwitness/solvers.py"
 AUTOMATA = "src/pgwitness/automata.py"
 WITNESSES = "src/pgwitness/witnesses.py"
 GAMES = "src/pgwitness/games.py"
+RECORDS = "src/pgwitness/records.py"
 
 ORACLE = "tests/test_updates.py::test_block_filled_table_equals_the_suffix_minimum_oracle"
 RULE_COUNTS = "tests/test_updates.py::test_a_cold_table_build_evaluates_the_rules_this_often"
@@ -49,6 +50,7 @@ CAP_BOUNDARY = "tests/test_solvers.py::test_product_cap_admits_exactly_the_produ
 DUPLICATED_SUCCESSOR = (
     "tests/test_metamorphic.py::test_a_duplicated_successor_changes_no_answer_and_no_count"
 )
+RECORD_PARITY = "tests/test_records.py::test_records_behave_as_frozen_dataclasses"
 
 
 class Mutant(NamedTuple):
@@ -362,6 +364,23 @@ MUTANTS = (
         "len({initial}.union(",
         "len(set().union(",
         (PRODUCT_ORACLE,),
+    ),
+    # The value records (records.Record): equality on the fields without a
+    # default only, so that Bounds ignores min_colour, and no assignment
+    # guard, so that a game's fields can be set.
+    Mutant(
+        "bounds-equality-ignores-min-colour",
+        RECORDS,
+        "for f in self._fields])",
+        "for f in self._fields if f not in self._defaults])",
+        (RECORD_PARITY,),
+    ),
+    Mutant(
+        "game-fields-assignable",
+        RECORDS,
+        'raise AttributeError(f"cannot assign to field {name!r}")',
+        "object.__setattr__(self, name, value)",
+        (RECORD_PARITY,),
     ),
 )
 

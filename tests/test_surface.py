@@ -1,5 +1,6 @@
 """The package's public surface: what the benchmark harness looks up,
-what ``__all__`` exports, and the README's Library example.
+what ``__all__`` exports, the README's Library example, and the modules
+an import loads.
 
 The references that only tests use live in ``tests/oracles.py``; none of
 them may come back into the package.
@@ -9,7 +10,10 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pgwitness
@@ -64,3 +68,17 @@ def test_surface_resolves_and_keeps_test_only_names_out():
         exec(code, {})
     assert out.getvalue() == "[0, 1, 3] [2, 4]\n"
     assert "# [0, 1, 3] [2, 4]" in code
+
+
+def test_import_loads_no_dataclasses_inspect_typing_or_random():
+    # ``-S`` keeps site hooks, which may import typing themselves, out of
+    # the check.
+    code = (
+        "import sys, pgwitness, pgwitness.cli; "
+        "print(' '.join(sorted({'dataclasses', 'inspect', 'typing', 'random'} & set(sys.modules))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == ""

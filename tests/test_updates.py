@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
@@ -77,7 +76,7 @@ def kernel_state(w, d, b, variant):
     their Bounds' states, and the raw rules read nothing else of the
     budget, so the kernel is taken from Bounds whose budget gives ``w``'s
     length."""
-    return _kernels(dataclasses.replace(b, e=1 << (len(w) - 1)), variant)[d](w)
+    return _kernels(Bounds(b.max_colour, 1 << (len(w) - 1), b.min_colour), variant)[d](w)
 
 
 def raw_update_with_rule(w, d, b, variant):
