@@ -14,38 +14,38 @@ class Record:
     """Base of an immutable record.
 
     A subclass's fields are the names it annotates, in order; a class
-    attribute of the same name is that field's default.  Calling the
-    class binds its arguments to the fields as a function with that
-    signature would, then calls ``__post_init__``.  Records of one class
-    are equal when their fields are, and hash as the tuple of their
-    fields; ``repr`` is ``Name(field=value, ...)``.  Assignment and
-    deletion raise AttributeError.  Each instance keeps its fields in its
-    ``__dict__``, so ``functools.cached_property``, ``copy`` and
-    ``pickle`` work on it as on a plain object.
+    attribute of the same name is that field's default, and fields with
+    defaults come last.  The subclass gets an ``__init__`` with one
+    parameter per field, so Python binds the arguments and
+    ``inspect.signature`` shows them; it stores the fields and then
+    calls ``__post_init__``.  Records of one class are equal when their
+    fields are, and hash as the tuple of their fields; ``repr`` is
+    ``Name(field=value, ...)``.  Assignment and deletion raise
+    AttributeError.  Each instance keeps its fields in its ``__dict__``,
+    so ``functools.cached_property``, ``copy`` and ``pickle`` work on it
+    as on a plain object.
     """
 
     _fields: tuple[str, ...]
-    _defaults: dict[str, object]
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+        annotations = cls.__dict__.get("__annotations__", {})
+        fields = cls._fields = tuple(annotations)
+        defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
+        if any(f not in cls.__dict__ for f in fields[len(fields) - len(defaults) :]):
+            raise TypeError(f"{cls.__name__}: fields with defaults must come last")
+        params, scope = ", ".join(fields), {"store": Record._store}
+        exec(f"def __init__(self, {params}):\n    store(self, {params})", scope)
+        init = scope["__init__"]
+        init.__defaults__ = defaults
+        init.__annotations__ = {**annotations, "return": None}
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
-        name, fields = type(self).__name__, self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = {**self._defaults, **dict(zip(fields, args))}
-        for field, value in kwargs.items():
-            if field not in fields or field in fields[: len(args)]:
-                raise TypeError(f"{name}() got an unexpected or repeated argument {field!r}")
-            values[field] = value
-        missing = [f for f in fields if f not in values]
-        if missing:
-            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
-        for f in fields:  # not into __dict__: reading it makes later attribute reads slower
-            object.__setattr__(self, f, values[f])
+    def _store(self, *values: object) -> None:
+        for f, value in zip(self._fields, values):  # not into __dict__: reading it
+            object.__setattr__(self, f, value)  # makes later attribute reads slower
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -113,6 +113,9 @@ def zielonka(game: ParityGame, *, stats: dict | None = None) -> WinningSets:
 # The most product positions a solve may reach; read at every call.
 PRODUCT_CAP = 2_000_000
 
+# The work counter each algorithm writes into ``stats``.
+WORK_COUNTERS = {"zielonka": "calls", "lifting": "lifts", "product": "product_positions"}
+
 
 def solve_product(
     game: ParityGame,
@@ -421,7 +424,7 @@ def solve(
     bounds = bounds_for_game(norm, e)
     if bounds is None:
         if stats is not None:
-            stats["lifts" if algo == "lifting" else "product_positions"] = 0
+            stats[WORK_COUNTERS[algo]] = 0
         return WinningSets(even=frozenset(), odd=frozenset(norm.vertices()))
     if algo == "lifting":
         return solve_lifting(norm, bounds, variant, stats=stats)
@@ -465,14 +468,14 @@ def differential(
             "max_colour": max_colour,
             "e": game.even_vertex_count,
             "zielonka_even": _bitmap(oracle.even, game.n),
-            "zielonka_steps": stats.get("calls", 0),
+            "zielonka_steps": stats[WORK_COUNTERS["zielonka"]],
         }
         agree = True
         for name, algo, variant, kind in DIFF_METHODS:
             st: dict = {}
             res = solve(game, algo, variant, kind, stats=st)
             row[name + "_even"] = _bitmap(res.even, game.n)
-            row[name + "_steps"] = st["lifts" if algo == "lifting" else "product_positions"]
+            row[name + "_steps"] = st[WORK_COUNTERS[algo]]
             agree = agree and res == oracle
         row["agree"] = agree
         rows.append(row)

@@ -28,7 +28,7 @@ from .witnesses import (
     StatespaceVariant,
     Witness,
     _block_tree,
-    entry_key,
+    _offers,
     last_bounds_cache,
     state_key,
     statespace_size,
@@ -42,11 +42,16 @@ class UpdateVariant(enum.Enum):
     COLOUR = "colour"
 
 
+_SPACES = {
+    UpdateVariant.CLASSIC: StatespaceVariant.CLASSIC_VALUE_CAPPED,
+    UpdateVariant.CONCISE: StatespaceVariant.CONCISE,
+    UpdateVariant.COLOUR: StatespaceVariant.CONCISE,
+}
+
+
 def space_variant_for(variant: UpdateVariant) -> StatespaceVariant:
     """The statespace each rule set operates on."""
-    if variant is UpdateVariant.CLASSIC:
-        return StatespaceVariant.CLASSIC_VALUE_CAPPED
-    return StatespaceVariant.CONCISE
+    return _SPACES[variant]
 
 
 _RULE_SETS = {  # (even, odd) above colour 2
@@ -72,28 +77,13 @@ def _check_colour(d: int, bounds: Bounds) -> None:
         )
 
 
-def _check_state(s: Witness, bounds: Bounds, variant: UpdateVariant) -> None:
+def _check_state(s: Witness, bounds: Bounds, variant: UpdateVariant) -> list[tuple]:
     """Raise ValueError unless ``s`` is a state of the rule set's
-    statespace for ``bounds``, decided from its structure as the
-    enumeration builds it: the bounds' length, non-Blank entries from
-    the space's alphabet in non-increasing order, none odd at position 0,
-    no odd colour twice in the concise space, and a value of at most
-    ``e``.  Nothing is enumerated."""
-    if len(s) != bounds.length:
-        raise ValueError(f"state {s} has {len(s)} entries, not the {bounds.length} of {bounds}")
-    concise = variant is not UpdateVariant.CLASSIC
-    # The alphabet is 2 up to the greatest even colour (see
-    # ``Bounds.statespace_entries``), and each entry bounds the next.
-    last = bounds.max_colour & ~1
-    for x in s:
-        if x:
-            if not 2 <= x <= last or (concise and x == last and x & 1):
-                break
-            last = x
-    else:
-        if not s[-1] & 1 and witness_value(s) <= bounds.e:
-            return
-    raise ValueError(f"state {s} is not in the {variant.value} statespace of {bounds}")
+    statespace for ``bounds``, decided from its structure by the walk of
+    the enumeration (``witnesses._offers``), with nothing enumerated;
+    return that walk's offers: for each index, the entries allowed there
+    after ``s``'s own."""
+    return _offers(s, bounds, _SPACES[variant], variant)
 
 
 # ---------------------------------------------------------------------------
@@ -652,49 +642,29 @@ def antagonistic_update(
     (and any filling only increases it), or write ``d`` at position 0
     (and any filling moves the write higher up, increasing the result).
     So the minimum over ``{s} ∪ {agree-above-t, beat-at-t, Blank below}``
-    is the full antagonistic update.  A state outside the rule set's
+    is the full antagonistic update.  Those candidates, the entries the
+    state check offers at each index (``_check_state``), are the first
+    states of the blocks after ``s`` (``witnesses._block_tree``): by rank,
+    the block-end chain ``r+1, ends[r+1], ends[ends[r+1]], ...`` below
+    the statespace size, for ``s`` of rank ``r``, which is ``col[r] =
+    min(out(r), col[r+1])`` unrolled.  A state outside the rule set's
     statespace raises ValueError.
     """
     _check_colour(d, bounds)
     if s is WON:
         return WON
-    _check_state(s, bounds, variant)
+    offers = _check_state(s, bounds, variant)
     if d % 2 and d == bounds.max_colour:
         return bounds.blank_witness()
-
-    L = bounds.length
-    space_variant = space_variant_for(variant)
-    alphabet = bounds.statespace_entries(space_variant)
-    concise = space_variant is StatespaceVariant.CONCISE
-
     kernel = _kernels(bounds, variant)[d]
     e = bounds.e
     best: State = _capped(kernel, s, e)
     best_key = state_key(best)
-
-    for idx in range(L):  # idx 0 = most significant, position L-1-idx
-        pos = L - 1 - idx
-        head = s[:idx]
-        ub = None  # nearest colour above the divergence point
-        for y in reversed(head):
-            if y != BLANK:
-                ub = y
-                break
-        head_odds = {y for y in head if y != BLANK and y % 2} if concise else None
-        base_key = entry_key(s[idx])
-        for x in alphabet:
-            if entry_key(x) <= base_key:
-                continue
-            if ub is not None and x > ub:
-                continue
-            if pos == 0 and x % 2:
-                continue
-            if concise and x % 2 and head_odds is not None and x in head_odds:
-                continue
-            c = head + (x,) + (BLANK,) * pos
-            if witness_value(c) > e:
-                continue
-            r = _capped(kernel, c, e)
+    blanks = (BLANK,) * len(s)
+    for i, xs in enumerate(offers):
+        head, tail = s[:i], blanks[i + 1 :]
+        for x in xs:
+            r = _capped(kernel, head + (x,) + tail, e)
             rk = state_key(r)
             if rk < best_key:
                 best, best_key = r, rk

@@ -245,65 +245,115 @@ def last_bounds_cache(fn: Callable) -> Callable:
             for c in _caches:
                 c.clear()
             _cached_bounds = bounds
-        if args not in cache:
+        try:
+            return cache[args]
+        except KeyError:
             misses += 1
-            cache[args] = fn(bounds, *args)
-        return cache[args]
+            cache[args] = value = fn(bounds, *args)
+            return value
 
     cached.cache_info = lambda: CacheInfo(misses, len(cache))
     cached.cache_clear = cache.clear
     return cached
 
 
-# The rules a statespace is built by, written once for both walks over
-# it (``_statespace``, ``_block_tree``): ``(top, odds, evens, finals,
-# weights, e, concise)``.  Entries are chosen most significant position
-# first, each at most the last non-Blank entry chosen (``last``, ``top``
-# before any, the greatest colour made odd, so that every entry fits).
-# Blank fits anywhere.  ``odds[last]`` and ``evens[last]`` are the
-# non-Blank entries allowed after ``last``, in the entry order; odds come
-# first.  The budget: before any odd entry, a non-Blank entry at position
-# ``pos`` >= 1 adds ``weights[pos]`` to the value, and none fits there
-# when that takes the value past ``e``; position 0 holds one of
-# ``finals[last]`` only after an odd entry or while the value is below
-# ``e``.  With ``concise``, no odd entry repeats.  Value-capped spaces
-# weigh ``2^pos`` and hold no odd entry at position 0; the original one
-# weighs nothing.
-Rules = tuple[int, dict, dict, dict, tuple[int, ...], int, bool]
+# The rules a statespace is built by, written once for the three walks
+# over it (``_statespace``, ``_block_tree`` and ``_offers``): ``(top,
+# odds, evens, finals, weights, e, steps)``.  Entries are chosen most
+# significant position first, each at most the last non-Blank entry
+# chosen (``last``, ``top`` before any, the greatest colour made odd, so
+# that every entry fits).  Blank fits anywhere.  ``odds[last]`` and
+# ``evens[last]`` are the non-Blank entries allowed after ``last``, in
+# the entry order; odds come first.  The concise space repeats no odd
+# entry: entries do not increase, so a repeat would be the next
+# non-Blank entry after its first occurrence, and ``odds[last]`` there
+# leaves out ``last``.  The budget: before any odd entry, a non-Blank
+# entry at position ``pos`` >= 1 adds ``weights[pos]`` to the value, and
+# none fits there when that takes the value past ``e``; position 0 holds
+# one of ``finals[last]`` only after an odd entry or while the value is
+# below ``e``.  Value-capped spaces weigh ``2^pos`` and hold no odd entry
+# at position 0; the original one weighs nothing.  ``steps[i]`` is what
+# the walk down one tuple reads at index ``i``: the weight of its
+# position, and by ``last`` the entries allowed there, Blank first, each
+# mapped to the allowed entries after it.
+Rules = tuple[int, dict, dict, dict, tuple[int, ...], int, tuple[tuple[int, dict], ...]]
 
 
+@last_bounds_cache
 def _rules(bounds: Bounds, variant: StatespaceVariant) -> Rules:
     entries = sorted(bounds.statespace_entries(variant), key=entry_key)
     capped = variant is not StatespaceVariant.ORIGINAL_LENGTH
+    concise = variant is StatespaceVariant.CONCISE
     top = bounds.max_colour | 1
     lasts = (top, *entries)
-    odds = {last: [x for x in entries if x & 1 and x <= last] for last in lasts}
+    odds = {
+        last: [x for x in entries if x & 1 and x <= last and not (concise and x == last)]
+        for last in lasts
+    }
     evens = {last: [x for x in entries if not x & 1 and x <= last] for last in lasts}
     finals = {last: evens[last] if capped else odds[last] + evens[last] for last in lasts}
     weights = tuple((1 << pos) * capped for pos in range(bounds.length))
-    return top, odds, evens, finals, weights, bounds.e, variant is StatespaceVariant.CONCISE
+
+    def after(allowed: dict) -> dict:
+        return {
+            last: {x: tuple(xs[i:]) for i, x in enumerate([BLANK, *xs])}
+            for last, xs in allowed.items()
+        }
+
+    inner = after({last: odds[last] + evens[last] for last in lasts})
+    steps = tuple((weights[pos], inner if pos else after(finals)) for pos in range(bounds.k, -1, -1))
+    return top, odds, evens, finals, weights, bounds.e, steps
+
+
+# Past the budget, Blank alone fits at an index, and nothing is offered there.
+_PAST_BUDGET = {BLANK: ()}
+
+
+def _offers(s: Witness, bounds: Bounds, variant: StatespaceVariant, named: enum.Enum) -> list:
+    """The walk of ``_statespace`` down the one tuple ``s`` (see
+    ``_rules``), with nothing enumerated: raise ValueError unless ``s`` is
+    a state of the statespace ``variant``, which the message calls by
+    ``named.value``.  Return, for each index ``i``, the entries allowed
+    at ``i`` after ``s[:i]`` that come after ``s[i]`` in the entry order,
+    in that order: the states ``s[:i] + (x,) + Blanks`` are the first
+    states of the blocks after ``s`` (see ``_block_tree``), from the last
+    index up in rank order."""
+    top, odds, evens, finals, weights, e, steps = _rules(bounds, variant)
+    if len(s) != len(steps):
+        raise ValueError(f"state {s} has {len(s)} entries, not the {bounds.length} of {bounds}")
+    last, value, odd = top, 0, 0
+    offers = []
+    try:
+        for x, (weight, allowed) in zip(s, steps):
+            later = allowed[last] if odd or value + weight <= e else _PAST_BUDGET
+            offers.append(later[x])
+            if x:
+                last = x
+                value += weight
+                odd |= x & 1
+    except KeyError:  # an entry not allowed where it stands
+        raise ValueError(f"state {s} is not in the {named.value} statespace of {bounds}") from None
+    return offers
 
 
 @last_bounds_cache
 def _statespace(bounds: Bounds, variant: StatespaceVariant) -> tuple[Witness, ...]:
     # Entries are tried in the entry order, most significant position
     # first (see ``_rules``), so states come out already sorted.
-    top, odds, evens, finals, weights, e, concise = _rules(bounds, variant)
+    top, odds, evens, finals, weights, e, _ = _rules(bounds, variant)
     # The last position's choices, as 1-tuples.
     blank = (BLANK,)
     leaves = {last: [blank] + [(x,) for x in xs] for last, xs in finals.items()}
     blank_leaf = [blank]
     out: list[Witness] = []
 
-    def rec(
-        pos: int, head: Witness, last: int, value: int, seen_odd: bool, used_odds: frozenset[int]
-    ) -> None:
+    def rec(pos: int, head: Witness, last: int, value: int, seen_odd: bool) -> None:
         # The entry at ``pos`` >= 1: Blank, then each entry up to ``last``.
         # At position 1 a choice's branch is the states of position 0,
         # emitted here with no call.
         h = head + blank
         if pos > 1:
-            rec(pos - 1, h, last, value, seen_odd, used_odds)
+            rec(pos - 1, h, last, value, seen_odd)
         else:
             out.extend([h + t for t in (leaves[last] if seen_odd or value < e else blank_leaf)])
         if not seen_odd:
@@ -311,26 +361,20 @@ def _statespace(bounds: Bounds, variant: StatespaceVariant) -> tuple[Witness, ..
             if value > e:
                 return  # no non-Blank entry fits at pos
         for x in odds[last]:
-            if concise:
-                if x in used_odds:
-                    continue
-                used = used_odds | {x}
-            else:
-                used = used_odds
             h = head + (x,)
             if pos > 1:
-                rec(pos - 1, h, x, value, True, used)
+                rec(pos - 1, h, x, value, True)
             else:
                 out.extend([h + t for t in leaves[x]])
         for x in evens[last]:
             h = head + (x,)
             if pos > 1:
-                rec(pos - 1, h, x, value, seen_odd, used_odds)
+                rec(pos - 1, h, x, value, seen_odd)
             else:
                 out.extend([h + t for t in (leaves[x] if seen_odd or value < e else blank_leaf)])
 
     if bounds.k:
-        rec(bounds.k, (), top, 0, False, frozenset())
+        rec(bounds.k, (), top, 0, False)
     else:
         out.extend(leaves[top])
     # ``rec`` refers to itself through its closure; unbound, it frees
@@ -388,7 +432,7 @@ def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
     # The call that chooses the entry at index ``t`` makes the cell of
     # the slots at ``t`` (its Blank and odd choices) and hands it down
     # those branches; even choices hand down the cell they were given.
-    top, odds, evens, finals, weights, e, concise = _rules(bounds, variant)
+    top, odds, evens, finals, weights, e, _ = _rules(bounds, variant)
     size = statespace_size(bounds, variant)
     zeros = bytes(4 * size)
     ends = array("i", range(1, size + 1))
@@ -399,15 +443,13 @@ def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
     count = {last: len(xs) for last, xs in finals.items()}
     n = 0
 
-    def rec(
-        pos: int, last: int, value: int, seen_odd: bool, used_odds: frozenset[int], cell: int
-    ) -> None:
+    def rec(pos: int, last: int, value: int, seen_odd: bool, cell: int) -> None:
         nonlocal n
         own = len(groups)
         groups.append(size)
         above.append(last)
         if pos > 1:
-            rec(pos - 1, last, value, seen_odd, used_odds, own)
+            rec(pos - 1, last, value, seen_odd, own)
         else:
             least[n] = last
             slot[n] = own
@@ -417,15 +459,9 @@ def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
             if value > e:
                 return  # no non-Blank entry fits at pos
         for x in odds[last]:
-            if concise:
-                if x in used_odds:
-                    continue
-                used = used_odds | {x}
-            else:
-                used = used_odds
             start = n
             if pos > 1:
-                rec(pos - 1, x, value, True, used, own)
+                rec(pos - 1, x, value, True, own)
             else:
                 least[n] = x
                 slot[n] = own
@@ -436,7 +472,7 @@ def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
         for x in evens[last]:
             start = n
             if pos > 1:
-                rec(pos - 1, x, value, seen_odd, used_odds, cell)
+                rec(pos - 1, x, value, seen_odd, cell)
             else:
                 least[n] = x
                 slot[n] = cell
@@ -444,7 +480,7 @@ def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
             ends[start] = n
 
     if bounds.k:
-        rec(bounds.k, top, 0, False, frozenset(), 0)
+        rec(bounds.k, top, 0, False, 0)
     else:
         least[0] = top
     del rec  # no reference cycle, as in ``_statespace``

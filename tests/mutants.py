@@ -51,6 +51,14 @@ DUPLICATED_SUCCESSOR = (
     "tests/test_metamorphic.py::test_a_duplicated_successor_changes_no_answer_and_no_count"
 )
 RECORD_PARITY = "tests/test_records.py::test_records_behave_as_frozen_dataclasses"
+STATE_CHECK = "tests/test_updates.py::test_the_statespace_check_accepts_exactly_the_enumerated_states"
+WALK_CHAIN = (
+    "tests/test_updates.py::test_the_walk_offers_the_first_states_of_the_blocks_after_each_state"
+)
+CONSTRUCTIVE_CHAIN = (
+    "tests/test_updates.py::"
+    "test_the_constructive_update_evaluates_the_state_and_the_block_end_chain"
+)
 
 
 class Mutant(NamedTuple):
@@ -181,12 +189,27 @@ MUTANTS = (
         "bounds, UpdateVariant.CONCISE if variant is UpdateVariant.COLOUR else variant)",
         ("tests/test_updates.py::test_antagonistic_reference_fast_and_table_agree",),
     ),
+    # The walk down one state (witnesses._offers) and the rules it reads.
     Mutant(
         "statespace-check-without-the-value-bound",
-        UPDATES,
-        "if not s[-1] & 1 and witness_value(s) <= bounds.e:",
-        "if not s[-1] & 1:",
-        ("tests/test_updates.py::test_the_statespace_check_accepts_exactly_the_enumerated_states",),
+        WITNESSES,
+        "later = allowed[last] if odd or value + weight <= e else _PAST_BUDGET",
+        "later = allowed[last]",
+        (STATE_CHECK,),
+    ),
+    Mutant(
+        "concise-walk-repeats-an-odd-entry",
+        WITNESSES,
+        "x <= last and not (concise and x == last)]",
+        "x <= last]",
+        (STATE_CHECK, WALK_CHAIN),
+    ),
+    Mutant(
+        "walk-offers-candidates-past-the-budget",
+        WITNESSES,
+        "offers.append(later[x])",
+        "offers.append(later[x] or allowed[last][x])",
+        (WALK_CHAIN, CONSTRUCTIVE_CHAIN),
     ),
     # The rule each rule set applies (updates.rule_set), and the kernels,
     # columns and step-memo rows shared by rule.
@@ -318,8 +341,8 @@ MUTANTS = (
     Mutant(
         "zero-budget-counter-keys-swapped",
         SOLVERS,
-        'stats["lifts" if algo == "lifting" else "product_positions"] = 0',
-        'stats["product_positions" if algo == "lifting" else "lifts"] = 0',
+        "stats[WORK_COUNTERS[algo]] = 0",
+        'stats[WORK_COUNTERS["product" if algo == "lifting" else "lifting"]] = 0',
         ("tests/test_solvers.py::test_solve_all_odd_game_short_circuits_to_odd",),
     ),
     # The product's exits (solvers._solve_exits).
@@ -372,7 +395,7 @@ MUTANTS = (
         "bounds-equality-ignores-min-colour",
         RECORDS,
         "for f in self._fields])",
-        "for f in self._fields if f not in self._defaults])",
+        "for f in self._fields if f not in type(self).__dict__])",
         (RECORD_PARITY,),
     ),
     Mutant(

@@ -1,10 +1,11 @@
 """The package's four value records behave as the frozen dataclasses they
-replaced: construction, checks, equality, hashing, ``repr``, immutability,
-copying and pickling."""
+replaced: construction and its signature, checks, equality, hashing,
+``repr``, immutability, copying and pickling."""
 
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -91,6 +92,11 @@ def test_records_behave_as_frozen_dataclasses(
     assert rec == cls(**keywords) == cls(*values[:1], **dict(list(keywords.items())[1:]))
     assert tuple(getattr(rec, f) for f in fields) == values
     assert cls(*values[:required]) == rec  # the other values are the defaults
+    params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(fields)
+    assert [p.default for p in params] == [inspect.Parameter.empty] * required + list(
+        values[required:]
+    )
     for bad in (values + values[:1], ()):
         with pytest.raises(TypeError):
             cls(*bad)

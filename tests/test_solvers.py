@@ -524,8 +524,8 @@ def test_cold_table_solves_build_no_state_and_run_no_kernel(variant, monkeypatch
     # A cold lifting solve and a cold antagonistic product within the
     # table cap enumerate no statespace, so they build no state tuple and
     # no rank dict over one, and no column fill runs a rule kernel: the
-    # per-Bounds caches then hold the block tree, the columns and the
-    # table alone.
+    # per-Bounds caches then hold the block tree, the rules it was walked
+    # by, the columns and the table alone.
     g = generate_random(40, 12, (1, 3), 5)
     e = g.even_vertex_count + 1
     bounds = bounds_for_game(normalize_colours(g)[0], e)
@@ -539,9 +539,14 @@ def test_cold_table_solves_build_no_state_and_run_no_kernel(variant, monkeypatch
         # Another Bounds first, so that the solve starts from empty caches.
         witnesses._block_tree(other, witnesses.StatespaceVariant.CONCISE)
         assert solve(g, algo, variant, UpdateKind.ANTAGONISTIC, e) == zielonka(g), algo
-        caches = (witnesses._block_tree, updates._column, updates._antagonistic_table)
+        caches = (
+            witnesses._block_tree,
+            witnesses._rules,
+            updates._column,
+            updates._antagonistic_table,
+        )
         held = [c.cache_info().currsize for c in caches]
-        assert held[0] == 1 and held[1] > 0 and held[2] == 1, (algo, held)
+        assert held[0] == held[1] == 1 and held[2] > 0 and held[3] == 1, (algo, held)
         assert sum(map(len, witnesses._caches)) == sum(held), algo
 
 

@@ -236,7 +236,9 @@ def test_antagonistic_updates_reject_a_state_of_another_length_above_the_table_c
 
 
 def test_the_statespace_check_accepts_exactly_the_enumerated_states():
-    # Every tuple over Blank, the colours and one colour above them.
+    # Every tuple over Blank, the colours and one colour above them.  The
+    # check walks the rules the package enumerates by, so the states are
+    # enumerated by the filtering oracle, which shares no code with them.
     for b in [
         Bounds(max_colour=c, e=e, min_colour=m)
         for m in (1, 2)
@@ -244,7 +246,7 @@ def test_the_statespace_check_accepts_exactly_the_enumerated_states():
         for e in (1, 2, 3, 5, 6, 8, 11, 15)
     ]:
         for variant in UpdateVariant:
-            space = set(update_space(b, variant))
+            space = oracles.filter_enumerate(b, space_variant_for(variant))
             for w in itertools.product(range(b.max_colour + 2), repeat=b.length):
                 try:
                     updates._check_state(w, b, variant)
@@ -280,6 +282,76 @@ def test_every_update_path_rejects_a_state_outside_the_statespace():
         if variant is not CLASSIC:
             with pytest.raises(ValueError, match="statespace"):
                 capped_update(w, 2, B6, variant)
+
+
+# The Bounds over which the constructive routine's candidates are pinned
+# to the block tree.
+CHAIN_SWEEP = [
+    Bounds(max_colour=max_c, e=e, min_colour=min_c)
+    for min_c in (1, 2)
+    for max_c in range(min_c, 8)
+    for e in (1, 2, 3, 5, 8, 13, 21, 31)
+]
+
+
+def block_end_chain(ends, size, r):
+    """The ranks ``r+1, ends[r+1], ends[ends[r+1]], ...`` below ``size``:
+    the first states of the blocks after the state of rank ``r``."""
+    chain, c = [], r + 1
+    while c < size:
+        chain.append(c)
+        c = ends[c]
+    return chain
+
+
+def test_the_walk_offers_the_first_states_of_the_blocks_after_each_state():
+    # The states s[:i] + (x,) + Blanks for the entries x offered at index
+    # i, from the last index up, are the block-end chain in rank order.
+    for b in CHAIN_SWEEP:
+        for space in (StatespaceVariant.CLASSIC_VALUE_CAPPED, StatespaceVariant.CONCISE):
+            size, ends, *_ = _block_tree(b, space)
+            states = witnesses._statespace(b, space)
+            rank = {w: r for r, w in enumerate(states)}
+            for r, s in enumerate(states):
+                offers = witnesses._offers(s, b, space, space)
+                assert len(offers) == len(s), (b, space, s)
+                offered = [
+                    rank.get(s[:i] + (x,) + (B,) * (len(s) - 1 - i))
+                    for i in reversed(range(len(s)))
+                    for x in offers[i]
+                ]
+                assert offered == block_end_chain(ends, size, r), (b, space, s)
+
+
+def test_the_constructive_update_evaluates_the_state_and_the_block_end_chain(monkeypatch):
+    # Besides s itself, antagonistic_update evaluates exactly the first
+    # states of the blocks after s, on every state and colour but a
+    # resetting greatest odd one, which evaluates nothing.
+    evaluated = []
+    capped = updates._capped
+
+    def recording(kernel, w, e):
+        evaluated.append(w)
+        return capped(kernel, w, e)
+
+    monkeypatch.setattr(updates, "_capped", recording)
+    pairs = 0
+    for b in CHAIN_SWEEP:
+        for variant in UpdateVariant:
+            size, ends, *_ = _block_tree(b, space_variant_for(variant))
+            states = update_space(b, variant)
+            rank = {w: r for r, w in enumerate(states)}
+            for d in b.colours:
+                if d & 1 and d == b.max_colour:
+                    continue
+                for r, s in enumerate(states):
+                    evaluated.clear()
+                    antagonistic_update(s, d, b, variant)
+                    assert evaluated[0] is s, (b, variant, d, s)
+                    got = sorted(rank.get(w, size) for w in evaluated[1:])
+                    assert got == block_end_chain(ends, size, r), (b, variant, d, s)
+                    pairs += 1
+    assert pairs == 114_080
 
 
 def test_concise_update_is_truncated_classic():
