@@ -41,6 +41,8 @@ class UpdateVariant(enum.Enum):
     CONCISE = "concise"
     COLOUR = "colour"
 
+    __hash__ = object.__hash__  # as StatespaceVariant's
+
 
 _SPACES = {
     UpdateVariant.CLASSIC: StatespaceVariant.CLASSIC_VALUE_CAPPED,
@@ -77,13 +79,18 @@ def _check_colour(d: int, bounds: Bounds) -> None:
         )
 
 
-def _check_state(s: Witness, bounds: Bounds, variant: UpdateVariant) -> list[tuple]:
+def _check_state(s: Witness, bounds: Bounds, variant: UpdateVariant) -> tuple:
     """Raise ValueError unless ``s`` is a state of the rule set's
     statespace for ``bounds``, decided from its structure by the walk of
     the enumeration (``witnesses._offers``), with nothing enumerated;
-    return that walk's offers: for each index, the entries allowed there
-    after ``s``'s own."""
-    return _offers(s, bounds, _SPACES[variant], variant)
+    return what that walk offers: for each index, the entries allowed
+    there after ``s``'s own."""
+    offers = _offers(s, bounds, _SPACES[variant])
+    if offers is None:
+        if len(s) != bounds.length:
+            raise ValueError(f"state {s} has {len(s)} entries, not the {bounds.length} of {bounds}")
+        raise ValueError(f"state {s} is not in the {variant.value} statespace of {bounds}")
+    return offers
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +660,7 @@ def antagonistic_update(
     _check_colour(d, bounds)
     if s is WON:
         return WON
-    offers = _check_state(s, bounds, variant)
+    order, cuts = _check_state(s, bounds, variant)
     if d % 2 and d == bounds.max_colour:
         return bounds.blank_witness()
     kernel = _kernels(bounds, variant)[d]
@@ -661,9 +668,9 @@ def antagonistic_update(
     best: State = _capped(kernel, s, e)
     best_key = state_key(best)
     blanks = (BLANK,) * len(s)
-    for i, xs in enumerate(offers):
+    for i, (lo, hi) in enumerate(cuts):
         head, tail = s[:i], blanks[i + 1 :]
-        for x in xs:
+        for x in order[lo:hi]:
             r = _capped(kernel, head + (x,) + tail, e)
             rk = state_key(r)
             if rk < best_key:

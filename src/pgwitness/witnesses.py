@@ -68,6 +68,10 @@ class StatespaceVariant(enum.Enum):
     CLASSIC_VALUE_CAPPED = "classic-value-capped"
     CONCISE = "concise"
 
+    # Members are singletons and key the per-Bounds caches: hash them by
+    # identity, in C, not by name through the Python-level Enum.__hash__.
+    __hash__ = object.__hash__
+
 
 class Bounds(Record):
     """Parameters a witness statespace is built from.
@@ -259,91 +263,91 @@ def last_bounds_cache(fn: Callable) -> Callable:
 
 # The rules a statespace is built by, written once for the three walks
 # over it (``_statespace``, ``_block_tree`` and ``_offers``): ``(top,
-# odds, evens, finals, weights, e, steps)``.  Entries are chosen most
-# significant position first, each at most the last non-Blank entry
-# chosen (``last``, ``top`` before any, the greatest colour made odd, so
-# that every entry fits).  Blank fits anywhere.  ``odds[last]`` and
-# ``evens[last]`` are the non-Blank entries allowed after ``last``, in
-# the entry order; odds come first.  The concise space repeats no odd
-# entry: entries do not increase, so a repeat would be the next
-# non-Blank entry after its first occurrence, and ``odds[last]`` there
-# leaves out ``last``.  The budget: before any odd entry, a non-Blank
-# entry at position ``pos`` >= 1 adds ``weights[pos]`` to the value, and
-# none fits there when that takes the value past ``e``; position 0 holds
-# one of ``finals[last]`` only after an odd entry or while the value is
-# below ``e``.  Value-capped spaces weigh ``2^pos`` and hold no odd entry
-# at position 0; the original one weighs nothing.  ``steps[i]`` is what
-# the walk down one tuple reads at index ``i``: the weight of its
-# position, and by ``last`` the entries allowed there, Blank first, each
-# mapped to the allowed entries after it.
-Rules = tuple[int, dict, dict, dict, tuple[int, ...], int, tuple[tuple[int, dict], ...]]
+# order, m, spans, weights, e)``.  Entries are chosen most significant
+# position first, each at most the last non-Blank entry chosen
+# (``last``, ``top`` before any, the greatest colour made odd, so that
+# every entry fits).  Blank fits anywhere.  ``order`` is the space's
+# non-Blank entries in the entry order, its ``m`` odd ones first, and
+# the entries allowed after ``last`` are one run of it: with ``at, lo,
+# lo0, hi = spans[last]``, the odds ``order[lo:m]`` and the evens
+# ``order[m:hi]``, and ``order[lo0:hi]`` at position 0; ``at`` is the
+# index of ``last`` in ``order`` (-1 for a ``top`` outside it).  The
+# concise space repeats no odd entry: entries do not increase, so a
+# repeat would be the next non-Blank entry after its first occurrence,
+# and the odds after an odd ``last`` there leave it out.  The budget:
+# before any odd entry, a non-Blank entry at position ``pos`` >= 1 adds
+# ``weights[pos]`` to the value, and none fits there when that takes the
+# value past ``e``; position 0 holds a non-Blank entry only after an odd
+# entry or while the value is below ``e``.  Value-capped spaces weigh
+# ``2^pos`` and hold no odd entry at position 0; the original one weighs
+# nothing.
+Rules = tuple[int, tuple[int, ...], int, dict, tuple[int, ...], int]
 
 
 @last_bounds_cache
 def _rules(bounds: Bounds, variant: StatespaceVariant) -> Rules:
-    entries = sorted(bounds.statespace_entries(variant), key=entry_key)
+    order = tuple(sorted(bounds.statespace_entries(variant), key=entry_key))
     capped = variant is not StatespaceVariant.ORIGINAL_LENGTH
     concise = variant is StatespaceVariant.CONCISE
     top = bounds.max_colour | 1
-    lasts = (top, *entries)
-    odds = {
-        last: [x for x in entries if x & 1 and x <= last and not (concise and x == last)]
-        for last in lasts
-    }
-    evens = {last: [x for x in entries if not x & 1 and x <= last] for last in lasts}
-    finals = {last: evens[last] if capped else odds[last] + evens[last] for last in lasts}
+    m = sum(x & 1 for x in order)
+    rank = {x: at for at, x in enumerate(order)}
+    # From the greatest ``last`` down, the odds allowed lose their head
+    # and the evens their tail.
+    spans = {}
+    lo, hi = 0, len(order)
+    for last in sorted({top, *order}, reverse=True):
+        while lo < m and (order[lo] > last or concise and order[lo] == last):
+            lo += 1
+        while hi > m and order[hi - 1] > last:
+            hi -= 1
+        spans[last] = (rank.get(last, -1), lo, m if capped else lo, hi)
     weights = tuple((1 << pos) * capped for pos in range(bounds.length))
-
-    def after(allowed: dict) -> dict:
-        return {
-            last: {x: tuple(xs[i:]) for i, x in enumerate([BLANK, *xs])}
-            for last, xs in allowed.items()
-        }
-
-    inner = after({last: odds[last] + evens[last] for last in lasts})
-    steps = tuple((weights[pos], inner if pos else after(finals)) for pos in range(bounds.k, -1, -1))
-    return top, odds, evens, finals, weights, bounds.e, steps
+    return top, order, m, spans, weights, bounds.e
 
 
-# Past the budget, Blank alone fits at an index, and nothing is offered there.
-_PAST_BUDGET = {BLANK: ()}
-
-
-def _offers(s: Witness, bounds: Bounds, variant: StatespaceVariant, named: enum.Enum) -> list:
+def _offers(s: Witness, bounds: Bounds, variant: StatespaceVariant) -> tuple | None:
     """The walk of ``_statespace`` down the one tuple ``s`` (see
-    ``_rules``), with nothing enumerated: raise ValueError unless ``s`` is
-    a state of the statespace ``variant``, which the message calls by
-    ``named.value``.  Return, for each index ``i``, the entries allowed
-    at ``i`` after ``s[:i]`` that come after ``s[i]`` in the entry order,
-    in that order: the states ``s[:i] + (x,) + Blanks`` are the first
-    states of the blocks after ``s`` (see ``_block_tree``), from the last
-    index up in rank order."""
-    top, odds, evens, finals, weights, e, steps = _rules(bounds, variant)
-    if len(s) != len(steps):
-        raise ValueError(f"state {s} has {len(s)} entries, not the {bounds.length} of {bounds}")
-    last, value, odd = top, 0, 0
-    offers = []
-    try:
-        for x, (weight, allowed) in zip(s, steps):
-            later = allowed[last] if odd or value + weight <= e else _PAST_BUDGET
-            offers.append(later[x])
-            if x:
-                last = x
-                value += weight
-                odd |= x & 1
-    except KeyError:  # an entry not allowed where it stands
-        raise ValueError(f"state {s} is not in the {named.value} statespace of {bounds}") from None
-    return offers
+    ``_rules``), with nothing enumerated.  None unless ``s`` is a state
+    of the statespace ``variant``; else ``(order, cuts)``, where
+    ``order[lo:hi]`` for ``(lo, hi) = cuts[i]`` are the entries allowed
+    at index ``i`` after ``s[:i]`` that come after ``s[i]``, in the entry
+    order.  The states ``s[:i] + (x,) + Blanks`` for those entries are
+    the first states of the blocks after ``s`` (see ``_block_tree``),
+    from the last index up in rank order."""
+    top, order, _, spans, weights, e = _rules(bounds, variant)
+    if len(s) != len(weights):
+        return None
+    final = len(weights) - 1
+    span, value, odd = spans[top], 0, 0
+    cuts = []
+    for i, x in enumerate(s):
+        _, lo, lo0, hi = span
+        if i == final:
+            lo = lo0
+        weight = weights[final - i]
+        if not (odd or value + weight <= e):
+            hi = lo  # past the budget Blank alone fits
+        if x != BLANK:
+            span = spans.get(x)
+            if span is None or not lo <= span[0] < hi:
+                return None  # an entry not allowed where it stands
+            lo = span[0] + 1
+            value += weight
+            odd |= x & 1
+        cuts.append((lo, hi))
+    return order, cuts
 
 
 @last_bounds_cache
 def _statespace(bounds: Bounds, variant: StatespaceVariant) -> tuple[Witness, ...]:
     # Entries are tried in the entry order, most significant position
     # first (see ``_rules``), so states come out already sorted.
-    top, odds, evens, finals, weights, e, _ = _rules(bounds, variant)
+    top, order, m, spans, weights, e = _rules(bounds, variant)
     # The last position's choices, as 1-tuples.
     blank = (BLANK,)
-    leaves = {last: [blank] + [(x,) for x in xs] for last, xs in finals.items()}
+    ones = [(x,) for x in order]
+    leaves = {last: [blank, *ones[lo0:hi]] for last, (_, _, lo0, hi) in spans.items()}
     blank_leaf = [blank]
     out: list[Witness] = []
 
@@ -360,13 +364,14 @@ def _statespace(bounds: Bounds, variant: StatespaceVariant) -> tuple[Witness, ..
             value += weights[pos]
             if value > e:
                 return  # no non-Blank entry fits at pos
-        for x in odds[last]:
+        _, lo, _, hi = spans[last]
+        for x in order[lo:m]:
             h = head + (x,)
             if pos > 1:
                 rec(pos - 1, h, x, value, True)
             else:
                 out.extend([h + t for t in leaves[x]])
-        for x in evens[last]:
+        for x in order[m:hi]:
             h = head + (x,)
             if pos > 1:
                 rec(pos - 1, h, x, value, seen_odd)
@@ -432,7 +437,7 @@ def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
     # The call that chooses the entry at index ``t`` makes the cell of
     # the slots at ``t`` (its Blank and odd choices) and hands it down
     # those branches; even choices hand down the cell they were given.
-    top, odds, evens, finals, weights, e, _ = _rules(bounds, variant)
+    top, order, m, spans, weights, e = _rules(bounds, variant)
     size = statespace_size(bounds, variant)
     zeros = bytes(4 * size)
     ends = array("i", range(1, size + 1))
@@ -440,7 +445,7 @@ def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
     slot = array("i", zeros)
     groups = array("i", [size])
     above = array("i", [top])
-    count = {last: len(xs) for last, xs in finals.items()}
+    count = {last: hi - lo0 for last, (_, _, lo0, hi) in spans.items()}
     n = 0
 
     def rec(pos: int, last: int, value: int, seen_odd: bool, cell: int) -> None:
@@ -458,7 +463,8 @@ def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
             value += weights[pos]
             if value > e:
                 return  # no non-Blank entry fits at pos
-        for x in odds[last]:
+        _, lo, _, hi = spans[last]
+        for x in order[lo:m]:
             start = n
             if pos > 1:
                 rec(pos - 1, x, value, True, own)
@@ -467,9 +473,9 @@ def _block_tree(bounds: Bounds, variant: StatespaceVariant) -> BlockTree:
                 slot[n] = own
                 n += 1 + count[x]
             ends[start] = n
-        if evens[last]:
+        if hi > m:
             groups[own] = n
-        for x in evens[last]:
+        for x in order[m:hi]:
             start = n
             if pos > 1:
                 rec(pos - 1, x, value, seen_odd, cell)

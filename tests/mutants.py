@@ -51,7 +51,9 @@ DUPLICATED_SUCCESSOR = (
     "tests/test_metamorphic.py::test_a_duplicated_successor_changes_no_answer_and_no_count"
 )
 RECORD_PARITY = "tests/test_records.py::test_records_behave_as_frozen_dataclasses"
-STATE_CHECK = "tests/test_updates.py::test_the_statespace_check_accepts_exactly_the_enumerated_states"
+STATE_CHECK = (
+    "tests/test_updates.py::test_the_statespace_check_accepts_exactly_the_enumerated_states"
+)
 WALK_CHAIN = (
     "tests/test_updates.py::test_the_walk_offers_the_first_states_of_the_blocks_after_each_state"
 )
@@ -193,22 +195,22 @@ MUTANTS = (
     Mutant(
         "statespace-check-without-the-value-bound",
         WITNESSES,
-        "later = allowed[last] if odd or value + weight <= e else _PAST_BUDGET",
-        "later = allowed[last]",
+        "if not (odd or value + weight <= e):",
+        "if False:",
         (STATE_CHECK,),
     ),
     Mutant(
         "concise-walk-repeats-an-odd-entry",
         WITNESSES,
-        "x <= last and not (concise and x == last)]",
-        "x <= last]",
+        "while lo < m and (order[lo] > last or concise and order[lo] == last):",
+        "while lo < m and order[lo] > last:",
         (STATE_CHECK, WALK_CHAIN),
     ),
     Mutant(
         "walk-offers-candidates-past-the-budget",
         WITNESSES,
-        "offers.append(later[x])",
-        "offers.append(later[x] or allowed[last][x])",
+        "cuts.append((lo, hi))",
+        "cuts.append((lo, hi if x != BLANK else span[3]))",
         (WALK_CHAIN, CONSTRUCTIVE_CHAIN),
     ),
     # The rule each rule set applies (updates.rule_set), and the kernels,

@@ -313,12 +313,12 @@ def test_the_walk_offers_the_first_states_of_the_blocks_after_each_state():
             states = witnesses._statespace(b, space)
             rank = {w: r for r, w in enumerate(states)}
             for r, s in enumerate(states):
-                offers = witnesses._offers(s, b, space, space)
-                assert len(offers) == len(s), (b, space, s)
+                order, cuts = witnesses._offers(s, b, space)
+                assert len(cuts) == len(s), (b, space, s)
                 offered = [
                     rank.get(s[:i] + (x,) + (B,) * (len(s) - 1 - i))
                     for i in reversed(range(len(s)))
-                    for x in offers[i]
+                    for x in order[slice(*cuts[i])]
                 ]
                 assert offered == block_end_chain(ends, size, r), (b, space, s)
 
@@ -352,6 +352,33 @@ def test_the_constructive_update_evaluates_the_state_and_the_block_end_chain(mon
                     assert got == block_end_chain(ends, size, r), (b, variant, d, s)
                     pairs += 1
     assert pairs == 114_080
+
+
+def test_single_steps_and_enumerations_at_hundreds_of_colours():
+    # The walk's rules keep one run of the entry order per last entry,
+    # four ints each, so a first step at hundreds of colours builds about
+    # as many ints as there are colours.
+    b = Bounds(max_colour=201, e=3)
+    for variant in UpdateVariant:
+        space = space_variant_for(variant)
+        top, order, m, spans, weights, e = witnesses._rules(b, space)
+        assert len(spans) <= len(b.colours) + 1
+        assert {len(span) for span in spans.values()} == {4}
+        states = enumerate_statespace(b, space)
+        assert len(states) == statespace_size(b, space)
+        assert all(oracles.is_valid_state(w, b, space) for w in states)
+        for s in (states[1], (200, B), (199, 198)):
+            r = states.index(s)
+            for d in (2, 7, 200):
+                kernel = _kernels(b, variant)[d]
+                want = min((updates._capped(kernel, t, b.e) for t in states[r:]), key=state_key)
+                assert antagonistic_update(s, d, b, variant) == want, (variant, s, d)
+                assert capped_update(s, d, b, variant) == updates._capped(kernel, s, b.e)
+    # One entry per state, and the Blank state.
+    b = Bounds(max_colour=600, e=1)
+    for space in StatespaceVariant:
+        states = enumerate_statespace(b, space)
+        assert states == tuple(sorted(oracles.filter_enumerate(b, space), key=state_key))
 
 
 def test_concise_update_is_truncated_classic():
