@@ -54,7 +54,6 @@ from .solvers import (
 from .updates import (
     UpdateVariant,
     antagonistic_update,
-    antagonistic_update_fast,
     capped_update,
 )
 from .witnesses import (
@@ -88,7 +87,6 @@ __all__ = [
     "WON",
     "WinningSets",
     "antagonistic_update",
-    "antagonistic_update_fast",
     "attractor",
     "bounds_for_game",
     "capped_update",

@@ -5,9 +5,10 @@ colour word, ``enumerate`` a witness statespace, ``count`` statespace
 sizes (single sweeps or the two comparison tables), ``gen`` a random
 game, and ``diff`` for cross-validating every solver on random games.
 
-Exit codes: 0 success, 2 malformed input, 3 resource cap exceeded,
-4 internal invariant violated (including solver disagreement in
-``diff``).
+Exit codes: 0 success; on an error, the ``exit_code`` of its type
+(see ``errors``): 2 malformed input (also any ValueError or OSError),
+3 resource cap exceeded, 4 internal invariant violated (including
+solver disagreement in ``diff``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections.abc import Sequence
 
 from . import counting
 from .automata import SepAutomaton, UpdateKind
-from .errors import GameParseError, InternalInvariantError, ResourceCapError
+from .errors import InternalInvariantError, PgwitnessError
 from .games import generate_random, parse_pgsolver, serialize_pgsolver
 from .solvers import differential, solve
 from .updates import UpdateVariant
@@ -227,19 +228,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GameParseError as exc:
+    except (PgwitnessError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InternalInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return getattr(exc, "exit_code", 2)

@@ -1,7 +1,8 @@
 """Shared exception types.
 
-The CLI maps these onto process exit codes: parse/input problems exit
-with 2, resource caps with 3, and internal invariant violations with 4.
+Each type carries the process exit code the CLI returns for it
+(``exit_code``): parse and input problems exit with 2, resource caps
+with 3, and internal invariant violations with 4.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 class PgwitnessError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class GameParseError(PgwitnessError):
@@ -24,6 +27,10 @@ class GameParseError(PgwitnessError):
 class ResourceCapError(PgwitnessError):
     """A configured size cap (statespace, product, prefix length) was hit."""
 
+    exit_code = 3
+
 
 class InternalInvariantError(PgwitnessError):
     """A condition the implementation guarantees was found violated."""
+
+    exit_code = 4

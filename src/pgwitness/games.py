@@ -17,7 +17,6 @@ is Even, owner 1 is Odd.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cached_property
 
 from .errors import GameParseError
@@ -70,11 +69,6 @@ class ParityGame(Record):
     def vertices(self) -> range:
         return range(self.n)
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for v in self.vertices():
-            for w in self.succ[v]:
-                yield v, w
-
     @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
         """``predecessors[w]``: every vertex with an edge to ``w``, once
@@ -84,10 +78,6 @@ class ParityGame(Record):
             for w in dict.fromkeys(self.succ[v]):
                 preds[w].append(v)
         return tuple(tuple(p) for p in preds)
-
-    @property
-    def max_colour(self) -> int:
-        return max(self.colours)
 
     @property
     def even_vertex_count(self) -> int:
@@ -178,8 +168,6 @@ def parse_pgsolver(text: str) -> ParityGame:
             succs = tuple(int(tok.strip()) for tok in succ_s.split(","))
         except ValueError:
             raise GameParseError("successors must be comma-separated ids", stmt_line)
-        if not succs:
-            raise GameParseError("every vertex needs at least one successor", stmt_line)
         if ext_id in records:
             raise GameParseError(f"vertex {ext_id} defined twice", stmt_line)
         records[ext_id] = (colour, owner, succs, name, stmt_line)

@@ -35,18 +35,16 @@ class Record:
         defaults = tuple(cls.__dict__[f] for f in fields if f in cls.__dict__)
         if any(f not in cls.__dict__ for f in fields[len(fields) - len(defaults) :]):
             raise TypeError(f"{cls.__name__}: fields with defaults must come last")
-        params, scope = ", ".join(fields), {"store": Record._store}
-        exec(f"def __init__(self, {params}):\n    store(self, {params})", scope)
+        # Fields go in with object.__setattr__, not into __dict__: writing
+        # that makes later attribute reads slower.
+        stores = "".join(f"\n    store(self, {f!r}, {f})" for f in fields)
+        scope = {"store": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(fields)}):{stores}\n    self.__post_init__()", scope)
         init = scope["__init__"]
         init.__defaults__ = defaults
         init.__annotations__ = {**annotations, "return": None}
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
-
-    def _store(self, *values: object) -> None:
-        for f, value in zip(self._fields, values):  # not into __dict__: reading it
-            object.__setattr__(self, f, value)  # makes later attribute reads slower
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         """Check the fields; raise ValueError on a bad one."""

@@ -174,10 +174,12 @@ def solve_product(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        winning, positions = _solve_exits(game, moves, take, won, initial, PRODUCT_CAP, b)
+        winning, positions = _solve_exits(game, moves, take, won, initial)
     finally:
         if collecting:
             gc.enable()
+    if winning is None:
+        raise ResourceCapError(f"product exceeds cap of {PRODUCT_CAP} positions (bounds {b})")
     even = frozenset(v for v in game.vertices() if winning[v])
     if stats is not None:
         stats["product_positions"] = positions
@@ -190,14 +192,14 @@ def _solve_exits(
     take: Callable[[int, int], int] | None,
     won: int,
     initial: int,
-    cap: int,
-    bounds: Bounds,
-) -> tuple[list[bool], int]:
+) -> tuple[list[bool] | None, int]:
     """Explore and solve the product on exits (see ``solve_product``):
     whether each start exit (v, initial) is won, in vertex order, and the
     number of product positions.  Exploration finds the exits; the
     positions are counted from the exit maps and the countdowns seeded
-    after it."""
+    after it.  Over ``PRODUCT_CAP`` positions there is no induction, and
+    None stands for the answer."""
+    cap = PRODUCT_CAP
     # Exits are numbered in order of discovery (exit_of[v] maps q to the
     # number of (v, q); 0..n-1 are the start exits) and expanded in that
     # order, breadth first: expanding x = (v, q) makes x a predecessor of
@@ -246,7 +248,7 @@ def _solve_exits(
     # of an exit (v, q) of a predecessor v of w, WON exits included.
     positions = sum(len({initial}.union(*[exit_of[v] for v in vs])) for vs in game.predecessors)
     if positions > cap:
-        raise ResourceCapError(f"product exceeds cap of {cap} positions (bounds {bounds})")
+        return None, positions
 
     # Backward induction over the exits (successor-closed), one countdown
     # per exit: an exit wins once its countdown reaches 0.  WON exits start
@@ -400,11 +402,12 @@ def solve(
     The one place a witness solve is decided.  ``variant`` defaults to
     the concise rule set, and ``kind`` to the antagonistic update for
     lifting and the basic one for product; zielonka takes none of the
-    witness options (``variant``, ``kind``, ``e``).  Colours are
-    normalized (winner-preserving) and the bounds derived once, ``e``
-    defaulting to the number of even-coloured vertices; a budget of 0
-    means Odd wins everywhere, with no witness machinery and a work count
-    of 0.
+    witness options (``variant``, ``kind``, ``e``), and reads colours
+    only by order and parity, so it solves the game as given.  For the
+    witness solvers colours are normalized (which keeps both) and the
+    bounds derived once, ``e`` defaulting to the number of even-coloured
+    vertices; a budget of 0 means Odd wins everywhere, with no witness
+    machinery and a work count of 0.
     """
     if algo not in ("zielonka", "lifting", "product"):
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -413,7 +416,7 @@ def solve(
         given = [name for name, x in options if x is not None]
         if given:
             raise ValueError(f"zielonka takes no {', '.join(given)}")
-        return zielonka(normalize_colours(game)[0], stats=stats)
+        return zielonka(game, stats=stats)
     if variant is None:
         variant = UpdateVariant.CONCISE
     if kind is None:

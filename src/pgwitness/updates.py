@@ -678,6 +678,6 @@ def antagonistic_update(
     return best
 
 
-# One routine, two names: the package exports both, and step_memo and
-# perfbench/tracing.py look up this one.
+# One routine, two names: ``automata.step_memo`` looks up this one, so
+# that perfbench/tracing.py can time its steps apart from single steps.
 antagonistic_update_fast = antagonistic_update

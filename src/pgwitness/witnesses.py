@@ -236,7 +236,9 @@ def last_bounds_cache(fn: Callable) -> Callable:
     """Cache ``fn(bounds, *args)`` for the last Bounds that any cache made
     here saw: solves read one Bounds at a time, and statespaces run to
     hundreds of thousands of tuples.  Another Bounds empties every cache
-    first.  ``cache_clear()`` empties this one; misses never go down."""
+    first; an equal one keeps them and becomes the Bounds held, so that
+    later calls with it compare by identity alone.  ``cache_clear()``
+    empties this one; misses never go down."""
     cache: dict = {}
     _caches.append(cache)
     misses = 0
@@ -245,9 +247,10 @@ def last_bounds_cache(fn: Callable) -> Callable:
     def cached(bounds, *args):
         global _cached_bounds
         nonlocal misses
-        if bounds is not _cached_bounds and bounds != _cached_bounds:
-            for c in _caches:
-                c.clear()
+        if bounds is not _cached_bounds:
+            if bounds != _cached_bounds:
+                for c in _caches:
+                    c.clear()
             _cached_bounds = bounds
         try:
             return cache[args]

@@ -32,6 +32,7 @@ AUTOMATA = "src/pgwitness/automata.py"
 WITNESSES = "src/pgwitness/witnesses.py"
 GAMES = "src/pgwitness/games.py"
 RECORDS = "src/pgwitness/records.py"
+ERRORS = "src/pgwitness/errors.py"
 
 ORACLE = "tests/test_updates.py::test_block_filled_table_equals_the_suffix_minimum_oracle"
 RULE_COUNTS = "tests/test_updates.py::test_a_cold_table_build_evaluates_the_rules_this_often"
@@ -291,11 +292,25 @@ MUTANTS = (
     Mutant(
         "bounds-switch-empties-only-the-cache-that-sees-it",
         WITNESSES,
-        "for c in _caches:\n                c.clear()",
+        "for c in _caches:\n                    c.clear()",
         "cache.clear()",
         ("tests/test_updates.py::test_per_bounds_caches_keep_one_bounds_worth",),
     ),
+    Mutant(
+        "equal-bounds-not-held",
+        WITNESSES,
+        "c.clear()\n            _cached_bounds = bounds",
+        "c.clear()\n                _cached_bounds = bounds",
+        ("tests/test_updates.py::test_an_equal_bounds_is_compared_once_and_then_held",),
+    ),
     # Game files and the game graph (games).
+    Mutant(
+        "parser-negative-colour-unchecked",
+        GAMES,
+        "if colour < 0:",
+        "if False:",
+        ("tests/test_games.py::test_parse_error_texts",),
+    ),
     Mutant(
         "semicolon-in-a-quoted-name-ends-the-statement",
         GAMES,
@@ -389,6 +404,14 @@ MUTANTS = (
         "len({initial}.union(",
         "len(set().union(",
         (PRODUCT_ORACLE,),
+    ),
+    # The exit code each error type carries (errors).
+    Mutant(
+        "resource-cap-exits-2",
+        ERRORS,
+        "exit_code = 3",
+        "exit_code = 2",
+        ("tests/test_cli.py::test_solve_lifting_above_the_table_cap_exits_3",),
     ),
     # The value records (records.Record): equality on the fields without a
     # default only, so that Bounds ignores min_colour, and no assignment

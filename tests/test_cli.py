@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from pgwitness import automata, witnesses
+from pgwitness import automata, solvers, witnesses
 from pgwitness.cli import main
 from pgwitness.games import generate_random, serialize_pgsolver
+from pgwitness.solvers import WinningSets
 
 EVEN_LOOP = "parity 0;\n0 2 0 0;\n"
 ALL_ODD = "parity 1;\n0 1 0 1;\n1 3 1 0;\n"
@@ -178,6 +179,18 @@ def test_trace_rejected(capsys):
     assert out.endswith("REJECTED\n")
 
 
+@pytest.mark.parametrize(
+    "colours, message",
+    [
+        ("2,x", "expected comma-separated colours, got '2,x'"),
+        (" , ", "empty colour word"),
+        ("2,0", "colours must be >= 1"),
+    ],
+)
+def test_trace_malformed_colour_word_exits_2(capsys, colours, message):
+    assert run(capsys, "trace", "--colours", colours, "--e", "2") == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("colours, max_colour", [("9", "4"), ("2,1", "0")])
 def test_trace_colour_above_max_exits_2(capsys, colours, max_colour):
     # --max-colour 0 is a value given, not the default.
@@ -301,6 +314,15 @@ def test_count_fixed_table(capsys):
     assert lines[1].startswith("8,8,1060,770,225,")
 
 
+def test_count_linear_table(capsys):
+    code, out, _ = run(capsys, "count", "--table", "linear")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 14
+    assert lines[0].startswith("n,c,old_exact")
+    assert lines[1] == "260,26,381663518,190609408,53751842,381,190,53,0.2820"
+
+
 def test_count_single_row_sweep(capsys):
     code, out, _ = run(capsys, "count", "--c", "10", "--n-range", "1024..1024")
     assert code == 0
@@ -346,6 +368,20 @@ def test_diff_agrees_and_emits_csv(capsys):
     assert len(lines) == 5
     assert lines[0].startswith("seed,")
     assert all(line.endswith("True") for line in lines[1:])
+
+
+def test_diff_with_a_disagreeing_solver_exits_4(capsys, monkeypatch):
+    # The oracle gives every vertex to Odd, which is right on seed 9 and
+    # wrong on seed 10, whose game has a vertex Even wins.
+    def all_odd(game, *, stats=None):
+        stats["calls"] = 0
+        return WinningSets(even=frozenset(), odd=frozenset(game.vertices()))
+
+    monkeypatch.setattr(solvers, "zielonka", all_odd)
+    code, out, err = run(capsys, "diff", "--seeds", "9..10", "--n", "4")
+    assert code == 4
+    assert [line.rsplit(",", 1)[1] for line in out.splitlines()] == ["agree", "True", "False"]
+    assert err == "error: solver disagreement on seeds [10]; see the CSV rows\n"
 
 
 def test_gen_and_diff_with_a_degree_above_n_exit_2(capsys):

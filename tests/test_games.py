@@ -60,6 +60,28 @@ def test_parse_errors_carry_line_numbers():
         parse_pgsolver("0 2 2 0;")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("parity x;\n0 2 0 0;", "line 1: malformed 'parity' header"),
+        ("parity 1 2;\n0 2 0 0;", "line 1: malformed 'parity' header"),
+        ('0 2 0 1;\n1 1 1 0 "a"b;', "line 2: malformed vertex name"),
+        ('0 2 0 1;\n1 1 1 0 "a" "b";', "line 2: malformed vertex name"),
+        ("0 2 0 1;\n1 x 1 0;", "line 2: id, colour and owner must be integers"),
+        ("0 2 0 1;\n\n1 1 1.0 0;", "line 3: id, colour and owner must be integers"),
+        ("0 2 0 0;\n-1 1 1 0;", "line 2: vertex id must be >= 0"),
+        ("0 2 0 1;\n1 -1 1 0;", "line 2: colour must be >= 0"),
+        ("0 2 0 1;\n1 1 1 0,x;", "line 2: successors must be comma-separated ids"),
+        ("0 2 0 1;\n1 1 1 ,;", "line 2: successors must be comma-separated ids"),
+        ("parity 3;\n", "line 1: no vertex definitions"),
+    ],
+)
+def test_parse_error_texts(text, message):
+    with pytest.raises(GameParseError) as info:
+        parse_pgsolver(text)
+    assert str(info.value) == message
+
+
 def test_serialize_is_canonical_and_round_trips():
     g = parse_pgsolver(SAMPLE)
     text = serialize_pgsolver(g)
@@ -214,6 +236,21 @@ def test_generate_random_is_deterministic_and_in_bounds():
     assert all(2 <= len(s) <= 3 for s in a.succ)
     assert all(len(set(s)) == len(s) for s in a.succ)
     assert generate_random(9, 5, (2, 3), seed=5) != a
+
+
+@pytest.mark.parametrize(
+    "n, max_colour, out_degree, message",
+    [
+        (0, 2, (1, 3), "n must be >= 1"),
+        (4, 0, (1, 3), "max_colour must be >= 1"),
+        (4, 2, (0, 3), "out_degree must satisfy 1 <= lo <= hi"),
+        (4, 2, (3, 2), "out_degree must satisfy 1 <= lo <= hi"),
+    ],
+)
+def test_generate_random_rejects_bad_arguments(n, max_colour, out_degree, message):
+    with pytest.raises(ValueError) as info:
+        generate_random(n, max_colour, out_degree, seed=0)
+    assert str(info.value) == message
 
 
 def test_generate_random_rejects_a_degree_above_n():

@@ -130,6 +130,20 @@ def test_zielonka_matches_brute_force_with_repeated_successors():
         assert zielonka(g).even == brute_force_even_region(g), f"seed {seed}"
 
 
+def test_zielonka_is_blind_to_colour_normalisation():
+    # ``solve`` hands zielonka the game as given: the winners and the call
+    # count are those of the normalised game, colour 0 and gaps included.
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = generate_random(1 + seed % 20, 6, (1, 3), seed)
+        pool = [0] + rng.sample(range(1, 20), rng.randint(0, 5))
+        g = game(g.owners, [rng.choice(pool) for _ in g.colours], g.succ)
+        norm, _ = normalize_colours(g)
+        given, normalised = {}, {}
+        assert solve(g, "zielonka", stats=given) == zielonka(norm, stats=normalised), seed
+        assert given == normalised, seed
+
+
 def test_zielonka_records_call_count():
     stats: dict = {}
     zielonka(game([EVEN, ODD], [2, 1], [[1], [0]]), stats=stats)

@@ -1129,6 +1129,27 @@ def test_per_bounds_caches_keep_one_bounds_worth():
     assert [cache.cache_info().currsize for cache in PER_BOUNDS_CACHES] == [0, 0, 0, 0, 1, 6, 0]
 
 
+def test_an_equal_bounds_is_compared_once_and_then_held(monkeypatch):
+    # A fresh Bounds equal to the one the caches hold keeps their entries
+    # and takes its place, so later calls with it compare nothing.
+    held, fresh = Bounds(max_colour=8, e=24), Bounds(max_colour=8, e=24)
+    s = held.blank_witness()
+    expected = capped_update(s, 2, held, CONCISE)
+    misses = [cache.cache_info().misses for cache in PER_BOUNDS_CACHES]
+    compared = 0
+    equal = Bounds.__eq__
+
+    def counted(self, other):
+        nonlocal compared
+        compared += 1
+        return equal(self, other)
+
+    monkeypatch.setattr(Bounds, "__eq__", counted)
+    assert [capped_update(s, 2, fresh, CONCISE) for _ in range(2)] == [expected] * 2
+    assert compared == 1
+    assert [cache.cache_info().misses for cache in PER_BOUNDS_CACHES] == misses
+
+
 def test_enumerations_of_other_bounds_leave_nothing_behind_a_solve():
     # Three statespaces of three Bounds, then solves with a fourth: only
     # the fourth Bounds' entries stay, and no statespace among them.

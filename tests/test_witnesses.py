@@ -19,6 +19,7 @@ from oracles import (
 from pgwitness import witnesses
 from pgwitness.counting import count_monotone_seqs
 from pgwitness.errors import ResourceCapError
+from pgwitness.records import Record
 from pgwitness.witnesses import (
     BLANK,
     WON,
@@ -53,6 +54,15 @@ def test_bounds_validation():
         Bounds(max_colour=1, e=3, min_colour=2)
     with pytest.raises(ValueError):
         Bounds(max_colour=4, e=3, min_colour=3)
+
+
+def test_a_record_with_a_default_before_a_required_field_is_refused():
+    # A generated __init__ cannot put a required parameter after a default.
+    with pytest.raises(TypeError, match="^Late: fields with defaults must come last$"):
+
+        class Late(Record):
+            min_colour: int = 1
+            e: int
 
 
 def test_entry_order_blank_then_odds_desc_then_evens_asc():
@@ -130,6 +140,7 @@ def test_state_str():
     assert state_str((B, 2)) == "_,2"
     assert state_str((5, 4, B)) == "5,4,_"
     assert state_str(WON) == "Won"
+    assert repr(WON) == "Won"
 
 
 def test_statespace_17_for_two_colours_budget_one():
