@@ -8,6 +8,12 @@ Three routes to the winning sets:
 * ``solve_product`` -- safety product of the game with a separating
   automaton (basic or antagonistic updates): Even wins a vertex iff Even
   can force the product into a WON state.  This reads plays forward.
+  Antagonistic products within the table cap are solved by one
+  threshold rank per vertex (``_solve_thresholds``): the update is
+  monotone, so the states that win at a vertex form an up-set of ranks.
+  Basic products, whose update is not monotone, and antagonistic ones
+  above the cap, whose memo ids have no rank order, are solved by
+  backward induction over exits (``_solve_exits``).
 * ``solve_lifting`` -- least-fixpoint value iteration assigning each
   vertex the witness evidence Even can guarantee against an adversarial
   environment; requires the monotone (antagonistic) update and plays the
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import gc
 import sys
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, Iterable
 
@@ -131,50 +138,53 @@ def solve_product(
     position whose automaton state is WON.  The automaton must separate
     on ``game`` (see ``admit``), else ValueError.
 
-    The product is explored and solved on exits.  The exit of a position
-    (v, q) is (v, q2), with q2 the state after reading v's colour in q.
-    Every position with that exit belongs to v's owner and moves to the
-    same positions (w, q2), so the game from each of them is the game
-    from the exit, and each has the exit's winner.  Exits with q2 WON
-    win at once and are not expanded.  Exploration only finds the exits
-    and records their predecessors; a repeated edge is followed once per
-    copy.  Positions are counted, not stored, after exploration: (w, q)
-    is reached iff q is the initial state or the state of an exit (v, q)
-    of a predecessor v of w, WON exits included, and
-    ``stats["product_positions"]`` is the number of such pairs.  Each
-    exit is the exit of a position of its own, so exploration stops as
-    soon as the exits outnumber ``PRODUCT_CAP``; the final count decides
-    the cap exactly.
+    The product is explored on exits.  The exit of a position (v, q) is
+    (v, q2), with q2 the state after reading v's colour in q.  Every
+    position with that exit belongs to v's owner and moves to the same
+    positions (w, q2), so the game from each of them is the game from the
+    exit, and each has the exit's winner.  Exits with q2 WON win at once
+    and are not expanded; a repeated edge is followed once per copy.
+    Positions are counted, not stored, after exploration (``_positions``),
+    and ``stats["product_positions"]`` is their number.  Each exit is the
+    exit of a position of its own, so exploration stops as soon as the
+    exits outnumber ``PRODUCT_CAP``; the final count decides the cap
+    exactly.
+
+    Which solve runs is ``rank_table``'s one choice.  When it gives a
+    table (antagonistic steps within the table cap), the product is
+    solved by one threshold rank per vertex (``_solve_thresholds``);
+    otherwise, for basic products and antagonistic ones above the cap,
+    by backward induction over the exits (``_solve_exits``).  Both give
+    the same winners and the same count.
     """
     b = automaton.bounds
     admit(game, b)
-    # Automaton states are small ints, and moves[d][q] is the state after
-    # reading d in state q, or -1 until take(q, d) computes it.  Two step
-    # sources: antagonistic steps within the table cap read the rank
-    # table on statespace ranks; every other step goes through the
-    # memo of interned ids (``step_memo``), which enumerates nothing and
-    # is shared by every solve with the same bounds and update kind.
+    # Automaton states are small ints.  Two step sources: antagonistic
+    # steps within the table cap read the rank table on statespace ranks;
+    # every other step goes through the memo of interned ids
+    # (``step_memo``), where moves[d][q] is the state after reading d in
+    # state q, or -1 until take(q, d) computes it.  The memo enumerates
+    # nothing and is shared by every solve with the same bounds and
+    # update kind.
     table = None
     if automaton.kind is UpdateKind.ANTAGONISTIC:
         table = rank_table(b, automaton.variant)
     if table is None:
         _, state_id, moves, take = step_memo(b, automaton.variant, automaton.kind)
-        won, initial = state_id[WON], state_id[automaton.initial]
+        solve_on, args = _solve_exits, (moves, take, state_id[WON], state_id[automaton.initial])
     else:
-        # The columns are full, so nothing is ever taken.  The all-Blank
-        # initial state is the least, of rank 0.
-        won, moves = table
-        initial, take = 0, None
+        solve_on, args = _solve_thresholds, table
 
-    # The lists of later predecessors are tracked containers, so the
-    # cyclic collector would still run during the solve, and each full
-    # pass would walk every cached table too.  Nothing the solve builds
-    # forms a cycle, and its containers are freed when ``_solve_exits``
-    # returns, before the collector resumes.
+    # The exit sets, the queued exits and, on the exits path, the lists
+    # of later predecessors are tracked containers, so the cyclic
+    # collector would still run during the solve, and each full pass
+    # would walk every cached table too.  Nothing the solve builds forms
+    # a cycle, and its containers are freed when it returns, before the
+    # collector resumes.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        winning, positions = _solve_exits(game, moves, take, won, initial)
+        winning, positions = solve_on(game, *args)
     finally:
         if collecting:
             gc.enable()
@@ -186,19 +196,154 @@ def solve_product(
     return WinningSets(even=even, odd=frozenset(game.vertices()) - even)
 
 
+def _positions(game: ParityGame, exits: list, initial: int) -> int:
+    """The number of product positions reached, from the states of the
+    exits found at each vertex (``exits[v]``, a set or a dict keyed by
+    state): position (w, q) is reached iff q is the initial state or the
+    state of an exit (v, q) of a predecessor v of w, WON exits included."""
+    return sum(len({initial}.union(*[exits[v] for v in vs])) for vs in game.predecessors)
+
+
+def _solve_thresholds(
+    game: ParityGame, won: int, columns: dict[int, list[int]]
+) -> tuple[list[bool] | None, int]:
+    """Solve an antagonistic product on the columns of a rank table (see
+    ``solve_product``): whether Even wins each vertex, in vertex order,
+    and the number of product positions, or None for the answer over
+    ``PRODUCT_CAP`` positions.
+
+    States are statespace ranks: the initial all-Blank state is rank 0
+    and WON is ``won``, the greatest.  Position (v, q) moves to (w,
+    col_v[q]) for each successor w, where ``col_v`` is the column of v's
+    colour.  Columns are suffix minima, so non-decreasing, and
+    ``col_v[won] == won``.
+
+    *Up-set lemma.*  If Even wins (v, q) and q <= q', Even wins (v, q').
+    The two positions have one owner, and their moves go to the same
+    vertices with states ``col_v[q] <= col_v[q']``.  So Even, playing
+    from (v, q') as from (v, q) at each vertex, keeps every play at
+    least as high, step by step, as a play from (v, q) that Even wins.
+    That play reaches WON, the greatest rank, within some number of
+    steps, and so does the higher one.  The states that win at v are
+    therefore the ranks from one least rank up, ``alpha[v]``, and Even
+    wins v iff ``alpha[v] == 0``.  Given the successors' thresholds, an
+    exit (v, t) wins iff ``t >= T``, where ``T`` is the least
+    ``alpha[w]`` over v's successors w when Even owns v and the greatest
+    when Odd does (``alpha[w] <= won``, since (w, won) moves to WON).
+    So ``alpha[v] = bisect_left(col_v, T)``.
+
+    *Least fixpoint.*  Even's winning positions are the least fixpoint
+    of ``G``: the positions that move to WON, and every position whose
+    owner can move into the set (Even) or must (Odd).  Each vector of
+    thresholds stands for a set that is an up-set at each vertex, and
+    ``G`` of such a set is one too, by the argument above, with
+    thresholds ``F(alpha)[v] = bisect_left(col_v, T(alpha))``.  ``F`` is
+    monotone, and a lower vector stands for a larger set.  Let
+    ``alpha*`` be the thresholds of the winning positions.  The seed
+    ``bisect_left(col_v, won)`` is ``F`` of all-``won``, so it is at
+    least ``F(alpha*) = alpha*``.  A FIFO worklist, from every vertex in
+    vertex order, lowers ``alpha[v]`` to ``F(alpha)[v]`` at each pop
+    where that is lower, which by induction keeps ``alpha >= alpha*``.
+    A vertex is queued again whenever its ``T`` can have fallen, so at
+    the end ``alpha <= F(alpha)``: the set that ``alpha`` stands for
+    contains its image under ``G``, and so contains the least fixpoint.
+    The loop therefore stops at ``alpha*``.  The winner of a position depends only on the
+    positions it reaches, so solving over every rank gives the winners
+    of the product reached from the start positions.
+
+    Exploration only counts positions.  It keeps the exit states of
+    each vertex in a set, and no ids, predecessors or countdowns.  The
+    worklist keeps a justification ``just`` per vertex, as ``_lift``
+    does:
+
+    * an Even vertex, the least ``alpha[w]`` over its successors.  It is
+      lowered by one read whenever a successor's threshold falls below
+      it, which queues the vertex, so a pop reads ``T`` and scans
+      nothing;
+    * an Odd vertex, the successor that gave its greatest ``alpha[w]``
+      at its last scan.  A successor's fall queues the vertex only when
+      that successor is its justification: the greatest stays what the
+      scan found until then.  A pop scans.
+    """
+    cap = PRODUCT_CAP
+    n = game.n
+    column = [columns[c] for c in game.colours]
+    # exits[v]: the states of v's exits found so far.  rows[v]: for each
+    # successor w of v, w's column, w's exit states and w.
+    exits = [{col[0]} for col in column]
+    rows = [[(column[w], exits[w], w) for w in ws] for ws in game.succ]
+    pending = deque(enumerate(col[0] for col in column))
+    found = n
+    while pending:
+        v, q = pending.popleft()
+        if q == won:
+            continue
+        for col, seen, w in rows[v]:
+            q2 = col[q]
+            if q2 not in seen:
+                seen.add(q2)
+                pending.append((w, q2))
+                found += 1
+        if found > cap:  # each exit has a position of its own
+            break
+    positions = _positions(game, exits, 0)
+    if positions > cap:
+        return None, positions
+
+    succ = game.succ
+    preds = game.predecessors
+    even_owned = [o == EVEN for o in game.owners]
+    alpha = [bisect_left(col, won) for col in column]
+    just = [min([alpha[w] for w in ws]) if even else -1 for ws, even in zip(succ, even_owned)]
+    queued = [True] * n
+    queue: deque[int] = deque(game.vertices())
+    while queue:
+        w = queue.popleft()
+        queued[w] = False
+        if even_owned[w]:
+            t = just[w]
+        else:
+            ws = succ[w]
+            top = ws[0]
+            t = alpha[top]
+            for x in ws:
+                y = alpha[x]
+                if y > t:
+                    t = y
+                    top = x
+            just[w] = top
+        a = bisect_left(column[w], t)
+        if a < alpha[w]:
+            alpha[w] = a
+            for u in preds[w]:
+                if even_owned[u]:
+                    if a >= just[u]:
+                        continue
+                    just[u] = a
+                elif just[u] != w:
+                    continue
+                if not queued[u]:
+                    queued[u] = True
+                    queue.append(u)
+    return [not a for a in alpha], positions
+
+
 def _solve_exits(
     game: ParityGame,
     moves: dict[int, list[int]],
-    take: Callable[[int, int], int] | None,
+    take: Callable[[int, int], int],
     won: int,
     initial: int,
 ) -> tuple[list[bool] | None, int]:
-    """Explore and solve the product on exits (see ``solve_product``):
-    whether each start exit (v, initial) is won, in vertex order, and the
-    number of product positions.  Exploration finds the exits; the
-    positions are counted from the exit maps and the countdowns seeded
-    after it.  Over ``PRODUCT_CAP`` positions there is no induction, and
-    None stands for the answer."""
+    """Explore and solve the product on exits (see ``solve_product``) by
+    backward induction: whether each start exit (v, initial) is won, in
+    vertex order, and the number of product positions.  This serves
+    basic products, whose update is not monotone, and antagonistic ones
+    above the table cap, whose memo ids have no rank order; neither has
+    the up-set that ``_solve_thresholds`` reads.  Exploration finds the
+    exits; the positions are counted from the exit maps and the
+    countdowns seeded after it.  Over ``PRODUCT_CAP`` positions there is
+    no induction, and None stands for the answer."""
     cap = PRODUCT_CAP
     # Exits are numbered in order of discovery (exit_of[v] maps q to the
     # number of (v, q); 0..n-1 are the start exits) and expanded in that
@@ -244,9 +389,7 @@ def _solve_exits(
                 more[y].append(x)
         if len(first) > cap:  # each exit has a position of its own
             break
-    # Position (w, q) is reached iff q is the initial state or the state
-    # of an exit (v, q) of a predecessor v of w, WON exits included.
-    positions = sum(len({initial}.union(*[exit_of[v] for v in vs])) for vs in game.predecessors)
+    positions = _positions(game, exit_of, initial)
     if positions > cap:
         return None, positions
 

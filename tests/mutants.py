@@ -58,6 +58,9 @@ STATE_CHECK = (
 WALK_CHAIN = (
     "tests/test_updates.py::test_the_walk_offers_the_first_states_of_the_blocks_after_each_state"
 )
+THRESHOLDS = (
+    "tests/test_solvers.py::test_threshold_solve_matches_backward_induction_over_exits"
+)
 CONSTRUCTIVE_CHAIN = (
     "tests/test_updates.py::"
     "test_the_constructive_update_evaluates_the_state_and_the_block_end_chain"
@@ -404,6 +407,42 @@ MUTANTS = (
         "len({initial}.union(",
         "len(set().union(",
         (PRODUCT_ORACLE,),
+    ),
+    # The product's threshold ranks (solvers._solve_thresholds).
+    Mutant(
+        "odd-threshold-kept-when-its-justification-falls",
+        SOLVERS,
+        "elif just[u] != w:\n                    continue",
+        "elif True:\n                    continue",
+        (THRESHOLDS,),
+    ),
+    Mutant(
+        "even-running-minimum-never-lowered",
+        SOLVERS,
+        "just[u] = a",
+        "pass",
+        (THRESHOLDS,),
+    ),
+    Mutant(
+        "thresholds-seeded-from-zero",
+        SOLVERS,
+        "alpha = [bisect_left(col, won) for col in column]",
+        "alpha = [0 for col in column]",
+        (THRESHOLDS, PRODUCT_ORACLE),
+    ),
+    Mutant(
+        "odd-threshold-from-the-least-successor",
+        SOLVERS,
+        "if y > t:",
+        "if y < t:",
+        (THRESHOLDS,),
+    ),
+    Mutant(
+        "threshold-rank-one-past-the-least-winning-state",
+        SOLVERS,
+        "a = bisect_left(column[w], t)",
+        "a = bisect_left(column[w], t + 1)",
+        (THRESHOLDS,),
     ),
     # The exit code each error type carries (errors).
     Mutant(

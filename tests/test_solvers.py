@@ -355,9 +355,12 @@ def test_product_above_the_table_cap_agrees_with_zielonka():
     assert positions == {"classic": 10368, "concise": 4463, "colour": 4455}
 
 
-def test_product_solve_leaves_the_collector_as_it_found_it(monkeypatch):
+@pytest.mark.parametrize("kind", list(UpdateKind), ids=lambda k: k.value)
+def test_product_solve_leaves_the_collector_as_it_found_it(kind, monkeypatch):
+    # Basic products take the exits solve, antagonistic ones within the
+    # table cap the threshold solve; each pauses the collector.
     g = generate_random(30, 6, (1, 3), 2)
-    aut = SepAutomaton(bounds_for_game(g), UpdateVariant.CONCISE)
+    aut = SepAutomaton(bounds_for_game(g), UpdateVariant.CONCISE, kind)
     assert gc.isenabled()
     solve_product(g, aut)
     assert gc.isenabled()
@@ -599,6 +602,41 @@ def test_product_matches_the_naive_product_oracle():
                 assert stats["product_positions"] == positions, (g, variant, kind)
         assert expected == zielonka(norm).even
 
+
+
+def test_threshold_solve_matches_backward_induction_over_exits(monkeypatch):
+    """Antagonistic products within the table cap, solved on threshold
+    ranks, give the winners and the position count of the exits solve
+    that the same products take above the cap, in every rule set: on
+    small games with self-loops and repeated successors and on larger
+    random games."""
+    small = list(_small_games_with_self_loops_and_repeated_successors(300, 27))
+    assert sum(any(v in ws for v, ws in enumerate(g.succ)) for g in small) > 150
+    assert sum(any(len(set(ws)) < len(ws) for ws in g.succ) for g in small) > 150
+    larger = [generate_random(8 + seed, 1 + seed % 9, (1, 4), seed) for seed in range(33)]
+    unused = lambda *args: pytest.fail("took the other product solve")  # noqa: E731
+    solved = mixed = 0
+    for g in small + larger:
+        norm = normalize_colours(g)[0]
+        bounds = bounds_for_game(norm)
+        if bounds is None:
+            continue
+        for variant in UpdateVariant:
+            aut = SepAutomaton(bounds, variant, UpdateKind.ANTAGONISTIC)
+            on_ranks: dict = {}
+            on_exits: dict = {}
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_solve_exits", unused)
+                expected = solve_product(norm, aut, stats=on_ranks)
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "rank_table", lambda *args: None)
+                m.setattr(solvers, "_solve_thresholds", unused)
+                got = solve_product(norm, aut, stats=on_exits)
+            assert got == expected, (g, variant)
+            assert on_exits == on_ranks, (g, variant)
+            solved += 1
+            mixed += bool(got.even) and bool(got.odd)
+    assert (solved, mixed) == (882, 276)
 
 # Lifts of the three lifting variants, then product positions of classic,
 # concise and colour with basic and antagonistic updates, as the solvers
